@@ -852,13 +852,6 @@ class Catalog:
                 raise NoSuchWorkflow(workflow_id)
             return dict(record, id=workflow_id)
 
-    def workflows_in(self, coll: str) -> list[dict]:
-        with self._lock:
-            return sorted(
-                (dict(r, id=i) for i, r in self._workflows.items()
-                 if r["coll"] == coll),
-                key=lambda r: (r["attached_at"], r["id"]))
-
     def record_run(self, record: dict) -> None:
         with self._lock:
             run_id = record["run_id"]

@@ -1,17 +1,20 @@
 """The policy engine: traps client actions at enforcement points,
 resolves them against the rule base, and runs micro-service chains.
 
-Every client-facing operation follows the same shape:
+Engine.trapped is the one place that implements the trap. Each of the
+eight trapped operations (PEP_OPS) validates its arguments and takes its
+locks, then runs its effect, authorization included, as the body of
+``with engine.trapped(op, actor, ...)``:
 
-    validate arguments -> fire <pep>.pre -> authorize -> effect
-        -> fire <pep>.post -> audit
+    fire pep.<op>.pre -> effect (the with-block) -> fire pep.<op>.post
 
-A pre verdict of Deny aborts with Denied before any effect; Error aborts
-with EngineError. Post verdicts are recorded in the audit trail but
-never undo the effect. Operations invoked from inside rule chains or
-procedure bodies (via micro-services) use the internal entry points,
-which authorize and act but do not re-enter the enforcement points, so
-policy evaluation cannot recurse.
+and afterwards appends its own audit entry where it has one. A pre
+verdict of Deny aborts with Denied before any effect; Error aborts with
+EngineError. An effect that raises skips post. Post verdicts are
+recorded in the audit trail but never undo the effect. Operations
+invoked from inside rule chains or procedure bodies (via micro-services)
+use the internal entry points, which authorize and act but do not
+re-enter the enforcement points, so policy evaluation cannot recurse.
 
 Rule dispatch is first match wins over rules for the point, ordered by
 descending priority then ascending name; when nothing matches the
@@ -24,8 +27,9 @@ from __future__ import annotations
 import threading
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .catalog import Catalog, ObjectView, RuleEntryView, parent_path, validate_path
 from .common import SYSTEM, sha256_hex
@@ -78,10 +82,6 @@ class Verdict:
     kind: str  # "allow" | "deny" | "error"
     detail: str = ""
     rule: str | None = None  # name of the deciding rule, None for default
-
-    @property
-    def allowed(self) -> bool:
-        return self.kind == "allow"
 
 
 ALLOW = Verdict("allow")
@@ -382,15 +382,6 @@ class Engine:
             return "system"
         return self.catalog.get_user(actor).role
 
-    def bindings(self, actor: str, op: str, **extra: Value) -> dict[str, Value]:
-        b: dict[str, Value] = {
-            "user.name": actor,
-            "user.role": self._role_of(actor),
-            "op": op,
-        }
-        b.update(extra)
-        return b
-
     def fire_pep(self, pep: str, actor: str,
                  bindings: Mapping[str, Value]) -> Verdict:
         """Resolve one enforcement-point firing to a verdict and audit it."""
@@ -419,18 +410,25 @@ class Engine:
         self.catalog.audit_append(actor, f"pep.{verdict.kind}", detail)
         return verdict
 
-    def enforce_pre(self, pep: str, actor: str,
-                    bindings: Mapping[str, Value]) -> None:
-        verdict = self.fire_pep(pep, actor, bindings)
+    @contextmanager
+    def trapped(self, op: str, actor: str,
+                **extra: Value) -> Iterator[dict[str, Value]]:
+        """Trap one client operation: fire pep.<op>.pre, run the with-block
+        as the effect, then fire pep.<op>.post. Yields the firing's
+        bindings. A pre Deny raises Denied and an Error raises
+        EngineError, both before the effect; an effect that raises skips
+        post."""
+        bindings: dict[str, Value] = {
+            "user.name": actor, "user.role": self._role_of(actor), "op": op,
+            **extra}
+        pre = f"pep.{op}.pre"
+        verdict = self.fire_pep(pre, actor, bindings)
         if verdict.kind == "deny":
             raise Denied(verdict.detail or "denied by policy")
         if verdict.kind == "error":
-            raise EngineError(
-                f"policy error at {pep}: {verdict.detail}")
-
-    def fire_post(self, pep: str, actor: str,
-                  bindings: Mapping[str, Value]) -> Verdict:
-        return self.fire_pep(pep, actor, bindings)
+            raise EngineError(f"policy error at {pre}: {verdict.detail}")
+        yield bindings
+        self.fire_pep(f"pep.{op}.post", actor, bindings)
 
     def _run_chain(self, items: Iterable, scope: _Scope, actor: str,
                    rule_name: str | None = None,
@@ -643,35 +641,30 @@ class Engine:
         with self._path_lock(path):
             owner = self.catalog.get_object(path).owner \
                 if self.catalog.object_exists(path) else actor
-            b = self.bindings(actor, "data.put", **{
-                "obj.path": path, "obj.owner": owner, "resc.name": resource})
-            self.enforce_pre("pep.data.put.pre", actor, b)
-            view = self._put_effect(actor, path, data, resource)
-            self.fire_post("pep.data.put.post", actor, b)
+            with self.trapped("data.put", actor, **{
+                    "obj.path": path, "obj.owner": owner,
+                    "resc.name": resource}):
+                view = self._put_effect(actor, path, data, resource)
             self.catalog.audit_append(actor, "data.put", path)
             return view
 
     def get(self, actor: str, path: str) -> bytes:
         with self._path_lock(path):
             obj = self.catalog.get_object(path)  # NoSuchObject if absent
-            b = self.bindings(actor, "data.get", **{
-                "obj.path": path, "obj.owner": obj.owner})
-            self.enforce_pre("pep.data.get.pre", actor, b)
-            data = self.read_object(actor, path)
-            self.fire_post("pep.data.get.post", actor, b)
+            with self.trapped("data.get", actor, **{
+                    "obj.path": path, "obj.owner": obj.owner}):
+                data = self.read_object(actor, path)
             return data
 
     def remove(self, actor: str, path: str) -> None:
         with self._path_lock(path):
             obj = self.catalog.get_object(path)
-            b = self.bindings(actor, "data.remove", **{
-                "obj.path": path, "obj.owner": obj.owner})
-            self.enforce_pre("pep.data.remove.pre", actor, b)
-            self.catalog.require_access(path, actor, "write")
-            for replica in obj.replicas:
-                self._unlink_or_orphan(actor, path, replica)
-            self.catalog.remove_object(path)
-            self.fire_post("pep.data.remove.post", actor, b)
+            with self.trapped("data.remove", actor, **{
+                    "obj.path": path, "obj.owner": obj.owner}):
+                self.catalog.require_access(path, actor, "write")
+                for replica in obj.replicas:
+                    self._unlink_or_orphan(actor, path, replica)
+                self.catalog.remove_object(path)
             self.catalog.audit_append(actor, "data.remove", path)
 
     def _unlink_or_orphan(self, actor: str, path: str, replica) -> None:
@@ -698,12 +691,10 @@ class Engine:
         with self._path_lock(path):
             obj = self.catalog.get_object(path)
             self.catalog.get_resource(dest_resource)
-            b = self.bindings(actor, "data.replicate", **{
-                "obj.path": path, "obj.owner": obj.owner,
-                "resc.name": dest_resource})
-            self.enforce_pre("pep.data.replicate.pre", actor, b)
-            view = self._replicate_effect(actor, path, dest_resource)
-            self.fire_post("pep.data.replicate.post", actor, b)
+            with self.trapped("data.replicate", actor, **{
+                    "obj.path": path, "obj.owner": obj.owner,
+                    "resc.name": dest_resource}):
+                view = self._replicate_effect(actor, path, dest_resource)
             self.catalog.audit_append(
                 actor, "data.replicate", f"{path} -> {dest_resource}")
             return view
@@ -753,20 +744,16 @@ class Engine:
     def make_collection(self, actor: str, path: str,
                         kind: str = "plain") -> str:
         validate_path(path)
-        b = self.bindings(actor, "collection.create", **{"coll.path": path})
-        self.enforce_pre("pep.collection.create.pre", actor, b)
-        self.catalog.make_collection(actor, path, kind=kind)
-        self.fire_post("pep.collection.create.post", actor, b)
+        with self.trapped("collection.create", actor, **{"coll.path": path}):
+            self.catalog.make_collection(actor, path, kind=kind)
         return path
 
     def add_avu(self, actor: str, path: str, name: str, value: str,
                 comment: str = "") -> None:
         if not self.catalog.path_exists(path):
             raise NoSuchPath(path)
-        b = self.bindings(actor, "meta.add", **{"obj.path": path})
-        self.enforce_pre("pep.meta.add.pre", actor, b)
-        self.catalog.add_avu(actor, path, name, value, comment)
-        self.fire_post("pep.meta.add.post", actor, b)
+        with self.trapped("meta.add", actor, **{"obj.path": path}):
+            self.catalog.add_avu(actor, path, name, value, comment)
 
     # -- remote fetch with caching ---------------------------------------------
 

@@ -2,7 +2,8 @@
 
 Everything raised on purpose by this package derives from ZoneError, so
 callers (and the gateway's error mapper) can distinguish deliberate
-failures from bugs.
+failures from bugs. Each class carries the HTTP status the gateway
+answers it with as ``http_status``; subclasses inherit their base's.
 """
 
 from __future__ import annotations
@@ -11,41 +12,45 @@ from __future__ import annotations
 class ZoneError(Exception):
     """Base class for all errors raised by this package."""
 
+    http_status = 500
+
 
 # --- naming / lookup -------------------------------------------------------
 
 class DuplicateName(ZoneError):
-    pass
+    http_status = 409
 
 
 class NoSuchPath(ZoneError):
-    pass
+    http_status = 404
 
 
 class NoParent(ZoneError):
-    pass
+    http_status = 404
 
 
 class NoSuchUser(ZoneError):
-    pass
+    http_status = 404
 
 
 class NoSuchResource(ZoneError):
-    pass
+    http_status = 404
 
 
 class NoSuchObject(ZoneError):
-    pass
+    http_status = 404
 
 
 class UnknownDriver(ZoneError):
-    pass
+    http_status = 404
 
 
 # --- authorization ---------------------------------------------------------
 
 class Denied(ZoneError):
     """An operation was refused, either by a rule verdict or by an ACL."""
+
+    http_status = 403
 
     def __init__(self, reason: str = ""):
         super().__init__(reason)
@@ -59,11 +64,13 @@ class PermissionDenied(Denied):
 class BadCredentials(ZoneError):
     """Login failed; deliberately uniform for unknown user vs wrong secret."""
 
+    http_status = 401
+
 
 # --- catalog / journal -----------------------------------------------------
 
 class MalformedPredicate(ZoneError):
-    pass
+    http_status = 400
 
 
 class CorruptJournal(ZoneError):
@@ -74,6 +81,8 @@ class CorruptJournal(ZoneError):
 
 class ParseError(ZoneError):
     """Source text does not conform to the rule/procedure grammar."""
+
+    http_status = 400
 
     def __init__(self, message: str, line: int = 0, column: int = 0,
                  expected: tuple[str, ...] = ()):
@@ -87,6 +96,8 @@ class ParseError(ZoneError):
 
 class EvalError(ZoneError):
     """Base for expression-evaluation failures."""
+
+    http_status = 400
 
 
 class UnboundVariable(EvalError):
@@ -104,15 +115,15 @@ class DivisionByZero(EvalError):
 # --- engine ----------------------------------------------------------------
 
 class UnknownPep(ZoneError):
-    pass
+    http_status = 404
 
 
 class DuplicateRuleName(ZoneError):
-    pass
+    http_status = 409
 
 
 class NoSuchRule(ZoneError):
-    pass
+    http_status = 404
 
 
 class EngineError(ZoneError):
@@ -128,18 +139,22 @@ class ChecksumMismatch(ZoneError):
 
 
 class DuplicateReplica(ZoneError):
-    pass
+    http_status = 409
 
 
 class NoSuchReplica(ZoneError):
-    pass
+    http_status = 404
 
 
 class KindMismatch(ZoneError):
     """Resource kind does not fit the operation (e.g. staging to archive)."""
 
+    http_status = 400
+
 
 class FetchFailed(ZoneError):
+    http_status = 502
+
     def __init__(self, detail: str, status: int | None = None):
         super().__init__(detail)
         self.status = status
@@ -166,41 +181,43 @@ class BadHandle(DriverError):
 # --- streams ---------------------------------------------------------------
 
 class BadFraming(ZoneError):
-    pass
+    http_status = 400
 
 
 class TimestampsDecreasing(ZoneError):
-    pass
+    http_status = 400
 
 
 class BadInterval(ZoneError):
-    pass
+    http_status = 400
 
 
 class NotAStreamCollection(ZoneError):
-    pass
+    http_status = 400
 
 
 # --- provenance ------------------------------------------------------------
 
 class NotAWorkflowCollection(ZoneError):
-    pass
+    http_status = 400
 
 
 class NoSuchWorkflow(ZoneError):
-    pass
+    http_status = 404
 
 
 class NoSuchRun(ZoneError):
-    pass
+    http_status = 404
 
 
 class BadBindings(ZoneError):
-    pass
+    http_status = 400
 
 
 class StaleInputs(ZoneError):
     """Recorded inputs no longer match the catalog; lists offending paths."""
+
+    http_status = 409
 
     def __init__(self, paths: list[str]):
         super().__init__("stale inputs: " + ", ".join(paths))

@@ -23,39 +23,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..drivers import Driver
-from ..errors import (
-    AllReplicasSuspect,
-    BadBindings,
-    BadCredentials,
-    BadFraming,
-    BadInterval,
-    ChecksumMismatch,
-    Denied,
-    DuplicateName,
-    DuplicateReplica,
-    DuplicateRuleName,
-    EvalError,
-    FetchFailed,
-    KindMismatch,
-    MalformedPredicate,
-    NoParent,
-    NoSuchObject,
-    NoSuchPath,
-    NoSuchReplica,
-    NoSuchResource,
-    NoSuchRule,
-    NoSuchRun,
-    NoSuchUser,
-    NoSuchWorkflow,
-    NotAStreamCollection,
-    NotAWorkflowCollection,
-    ParseError,
-    StaleInputs,
-    TimestampsDecreasing,
-    UnknownDriver,
-    UnknownPep,
-    ZoneError,
-)
+from ..errors import BadCredentials, Denied, NoSuchPath, ZoneError
 from ..zone import Zone
 from .config import GatewayConfig
 from .sessions import SessionStore
@@ -63,32 +31,6 @@ from .sessions import SessionStore
 log = logging.getLogger("pgzone.gateway")
 
 MAX_BODY = 256 * 1024 * 1024
-
-_STATUS_MAP: tuple[tuple[type, int], ...] = (
-    (BadCredentials, 401),
-    (Denied, 403),
-    (NoSuchPath, 404), (NoSuchUser, 404), (NoSuchObject, 404),
-    (NoSuchResource, 404), (NoSuchRule, 404), (NoSuchWorkflow, 404),
-    (NoSuchRun, 404), (NoSuchReplica, 404), (NoParent, 404),
-    (UnknownDriver, 404), (UnknownPep, 404),
-    (DuplicateName, 409), (DuplicateRuleName, 409),
-    (DuplicateReplica, 409), (StaleInputs, 409),
-    (ParseError, 400), (MalformedPredicate, 400), (BadFraming, 400),
-    (BadInterval, 400), (TimestampsDecreasing, 400), (BadBindings, 400),
-    (KindMismatch, 400), (NotAStreamCollection, 400),
-    (NotAWorkflowCollection, 400), (EvalError, 400), (ValueError, 400),
-    (FetchFailed, 502),
-    (ChecksumMismatch, 500), (AllReplicasSuspect, 500),
-    (ZoneError, 500),
-)
-
-
-def _status_for(exc: Exception) -> int:
-    for exc_type, status in _STATUS_MAP:
-        if isinstance(exc, exc_type):
-            return status
-    return 500
-
 
 def _as_dict(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -438,9 +380,14 @@ def _make_handler(gateway: GatewayServer):
             log.debug("%s " + fmt, self.address_string(), *args)
 
         def _read_body(self) -> bytes:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            if length > MAX_BODY:
-                raise ValueError("request body too large")
+            text = self.headers.get("Content-Length") or "0"
+            length = int(text) if text.isascii() and text.isdigit() else -1
+            if not 0 <= length <= MAX_BODY:
+                # The body stays unread, so the connection cannot carry
+                # another request.
+                self.close_connection = True
+                raise ValueError(
+                    f"Content-Length must be 0..{MAX_BODY}, got {text!r}")
             return self.rfile.read(length) if length else b""
 
         def _respond(self, status: int, data: bytes, content_type: str,
@@ -473,7 +420,10 @@ def _make_handler(gateway: GatewayServer):
                     data = json.dumps(payload).encode("utf-8")
                     self._respond(status, data, "application/json")
             except Exception as e:  # every failure maps to a JSON error
-                status = _status_for(e)
+                if isinstance(e, ZoneError):
+                    status = e.http_status
+                else:
+                    status = 400 if isinstance(e, ValueError) else 500
                 if status >= 500:
                     log.exception("request failed: %s %s", method, self.path)
                 detail = json.dumps({

@@ -62,12 +62,6 @@ class SessionStore:
             raise BadCredentials("invalid or expired token")
         return found.user
 
-    def logout(self, token: str) -> None:
-        with self._lock:
-            self._sessions = [
-                s for s in self._sessions
-                if not hmac.compare_digest(s.token, token)]
-
     def expire_now(self, token: str) -> None:
         """Force-expire one session (test hook for TTL behavior)."""
         with self._lock:

@@ -145,59 +145,57 @@ class Provenance:
         for path in static_inputs:
             if not self.catalog.object_exists(path):
                 raise NoSuchObject(f"declared input missing: {path}")
-        pep_bindings = self.engine.bindings(actor, "workflow.run", **{
-            "coll.path": coll})
         with self.engine.run_lock:
-            self.engine.enforce_pre("pep.workflow.run.pre", actor,
-                                    pep_bindings)
-            recorder = RunRecorder()
-            for path in static_inputs:
-                recorder.record_read(
-                    path, self.catalog.get_object(path).checksum)
-            run_id = uuid.uuid4().hex
-            t_start = now_us()
-            status, detail = "ok", ""
-            scope = _Scope(pep_bindings)
-            for key, value in bindings.items():
-                scope.bind(key, value)
-            try:
-                with recording(recorder):
-                    self.engine.run_procedure_body(
-                        ast.body, scope, actor, base_coll=coll)
-            except Denied as e:
-                status, detail = "failed", f"denied: {e}"
-            except (EvalError, ZoneError, DriverError) as e:
-                status, detail = "failed", str(e)
-            t_end = now_us()
-            outputs: dict[str, str] = {}
-            if status == "ok":
-                for path in sorted(recorder.writes):
-                    if self.catalog.object_exists(path):
-                        outputs[path] = self.catalog.get_object(path).checksum
-            else:
-                # A failed run must not leave outputs that look trustworthy.
-                for path in sorted(recorder.writes):
-                    if not self.catalog.object_exists(path):
-                        continue
-                    for replica in self.catalog.get_object(path).replicas:
-                        self.catalog.set_replica_status(
-                            path, replica.physical_ref, "suspect")
-            record = {
-                "run_id": run_id,
-                "workflow_id": workflow_id,
-                "coll": coll,
-                "user": actor,
-                "bindings": dict(bindings),
-                "inputs": dict(recorder.reads),
-                "outputs": outputs,
-                "status": status,
-                "detail": detail,
-                "t_start": t_start,
-                "t_end": t_end,
-            }
-            self.catalog.record_run(record)
-            self.engine.fire_post("pep.workflow.run.post", actor,
-                                  pep_bindings)
+            with self.engine.trapped("workflow.run", actor, **{
+                    "coll.path": coll}) as pep_bindings:
+                recorder = RunRecorder()
+                for path in static_inputs:
+                    recorder.record_read(
+                        path, self.catalog.get_object(path).checksum)
+                run_id = uuid.uuid4().hex
+                t_start = now_us()
+                status, detail = "ok", ""
+                scope = _Scope(pep_bindings)
+                for key, value in bindings.items():
+                    scope.bind(key, value)
+                try:
+                    with recording(recorder):
+                        self.engine.run_procedure_body(
+                            ast.body, scope, actor, base_coll=coll)
+                except Denied as e:
+                    status, detail = "failed", f"denied: {e}"
+                except (EvalError, ZoneError, DriverError) as e:
+                    status, detail = "failed", str(e)
+                t_end = now_us()
+                outputs: dict[str, str] = {}
+                if status == "ok":
+                    for path in sorted(recorder.writes):
+                        if self.catalog.object_exists(path):
+                            outputs[path] = \
+                                self.catalog.get_object(path).checksum
+                else:
+                    # A failed run must not leave outputs that look
+                    # trustworthy.
+                    for path in sorted(recorder.writes):
+                        if not self.catalog.object_exists(path):
+                            continue
+                        for replica in self.catalog.get_object(path).replicas:
+                            self.catalog.set_replica_status(
+                                path, replica.physical_ref, "suspect")
+                record = {
+                    "run_id": run_id,
+                    "workflow_id": workflow_id,
+                    "coll": coll,
+                    "user": actor,
+                    "bindings": dict(bindings),
+                    "inputs": dict(recorder.reads),
+                    "outputs": outputs,
+                    "status": status,
+                    "detail": detail,
+                    "t_start": t_start,
+                    "t_end": t_end,
+                }
+                self.catalog.record_run(record)
             self.catalog.audit_append(
                 actor, "workflow.run",
                 f"{workflow_id[:12]} run={run_id} status={status}")

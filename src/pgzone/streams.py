@@ -146,27 +146,25 @@ class Streams:
         records = parse_segment(segment)
         resource = self.engine._resource_or_default(resource)
         self.catalog.get_resource(resource)
-        b = self.engine.bindings(actor, "stream.ingest", **{
-            "coll.path": coll, "resc.name": resource})
         with self.engine._path_lock(coll):
-            self.engine.enforce_pre("pep.stream.ingest.pre", actor, b)
-            self.catalog.require_access(coll, actor, "write")
-            segment_id = self.catalog.next_segment_id(coll)
-            path = self._segment_path(coll, segment_id)
-            ref, checksum = self.engine._store_bytes(resource, segment)
-            t_min, t_max = records[0][0], records[-1][0]
-            self.catalog.ingest_segment(
-                coll, segment_id, path, actor, resource, ref, checksum,
-                len(segment), t_min, t_max, len(records))
-            entry = SegmentEntry(segment_id=segment_id, path=path,
-                                 t_min=t_min, t_max=t_max,
-                                 count=len(records))
-            with self._index_lock:
-                if coll in self._index:
-                    self._index[coll].append(entry)
-                    self._index[coll].sort(
-                        key=lambda e: (e.t_min, e.segment_id))
-            self.engine.fire_post("pep.stream.ingest.post", actor, b)
+            with self.engine.trapped("stream.ingest", actor, **{
+                    "coll.path": coll, "resc.name": resource}):
+                self.catalog.require_access(coll, actor, "write")
+                segment_id = self.catalog.next_segment_id(coll)
+                path = self._segment_path(coll, segment_id)
+                ref, checksum = self.engine._store_bytes(resource, segment)
+                t_min, t_max = records[0][0], records[-1][0]
+                self.catalog.ingest_segment(
+                    coll, segment_id, path, actor, resource, ref, checksum,
+                    len(segment), t_min, t_max, len(records))
+                entry = SegmentEntry(segment_id=segment_id, path=path,
+                                     t_min=t_min, t_max=t_max,
+                                     count=len(records))
+                with self._index_lock:
+                    if coll in self._index:
+                        self._index[coll].append(entry)
+                        self._index[coll].sort(
+                            key=lambda e: (e.t_min, e.segment_id))
             self.catalog.audit_append(
                 actor, "stream.ingest",
                 f"{coll} seg={segment_id} n={len(records)}")

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -17,6 +18,8 @@ from pgzone.errors import (
     PermissionDenied,
     UnknownPep,
 )
+from pgzone.provenance import workflow_id_of
+from pgzone.streams import pack_records
 from pgzone.testing import FaultDriver
 
 from conftest import ADMIN, add_user, make_zone
@@ -500,3 +503,105 @@ def test_pre_pep_fires_before_effect_in_journal(zone):
                    if r["op"] == "object.put"
                    and r["args"]["path"] == "/home/u/f")
     assert pep_seq < put_seq
+
+
+# ---------------------------------------------------------------------------
+# The trap contract: exact audit and journal sequence of every trapped op
+# ---------------------------------------------------------------------------
+
+TRAP_WF = '''
+procedure one($n) {
+    put_int($n, "out.txt")
+}
+'''
+TRAP_WF_ID = workflow_id_of(TRAP_WF)[0]
+
+
+def trap_fixture(zone):
+    """User u owning /home/u with one object, a second resource, a stream
+    collection and a workflow collection with one procedure attached."""
+    add_user(zone, "u")
+    zone.engine.put("u", "/home/u/f", b"hi")
+    zone.ensure_resource(SYSTEM, "second", "mem", "/blobs/second", "archive")
+    zone.catalog.make_collection("u", "/home/u/s", kind="stream")
+    zone.catalog.make_collection("u", "/home/u/wf", kind="workflow")
+    zone.provenance.attach("u", "/home/u/wf", TRAP_WF)
+
+
+# op -> (call, op audit entries after post, journal ops with no rules)
+TRAP_OPS = {
+    "data.put": (
+        lambda z: z.engine.put("u", "/home/u/g", b"new"),
+        [("data.put", "/home/u/g")],
+        ["audit.append", "object.put", "audit.append", "audit.append"]),
+    "data.get": (
+        lambda z: z.engine.get("u", "/home/u/f"),
+        [],
+        ["audit.append", "audit.append"]),
+    "data.remove": (
+        lambda z: z.engine.remove("u", "/home/u/f"),
+        [("data.remove", "/home/u/f")],
+        ["audit.append", "object.remove", "audit.append", "audit.append"]),
+    "data.replicate": (
+        lambda z: z.engine.replicate("u", "/home/u/f", "second"),
+        [("data.replicate", "/home/u/f -> second")],
+        ["audit.append", "replica.add", "audit.append", "audit.append"]),
+    "collection.create": (
+        lambda z: z.engine.make_collection("u", "/home/u/c"),
+        [],
+        ["audit.append", "collection.create", "audit.append"]),
+    "meta.add": (
+        lambda z: z.engine.add_avu("u", "/home/u/f", "k", "v"),
+        [],
+        ["audit.append", "avu.add", "audit.append"]),
+    "stream.ingest": (
+        lambda z: z.streams.ingest(
+            "u", "/home/u/s", pack_records([(1, b"a"), (2, b"b")])),
+        [("stream.ingest", "/home/u/s seg=1 n=2")],
+        ["audit.append", "stream.ingest", "audit.append", "audit.append"]),
+    "workflow.run": (
+        lambda z: z.provenance.run("u", TRAP_WF_ID, {"n": 7}),
+        [("workflow.run", f"{TRAP_WF_ID[:12]} run=<id> status=ok")],
+        ["audit.append", "object.put", "run.record", "audit.append",
+         "audit.append", "collection.create", "object.put"]),
+}
+
+TRAP_RULES = {
+    "deny": ('rule gate on {pep} do deny("closed")',
+             Denied, "pep.deny", "closed"),
+    "error": ("rule gate on {pep} when 1 + 1 do allow()",
+              EngineError, "pep.error", "condition is not a boolean"),
+}
+
+
+@pytest.mark.parametrize("case", ["none", "deny", "error"])
+@pytest.mark.parametrize("op", PEP_OPS)
+def test_trap_contract_audit_and_journal(zone, op, case):
+    trap_fixture(zone)
+    call, op_audit, journal_ops = TRAP_OPS[op]
+    pre, post = f"pep.{op}.pre", f"pep.{op}.post"
+    if case != "none":
+        rule, exc, event, detail = TRAP_RULES[case]
+        zone.engine.add_rules(ADMIN, rule.format(pep=pre))
+    audit_before = len(zone.catalog.audit_query(ADMIN))
+    records_before = len(zone.catalog.records())
+    digest_before = zone.catalog.data_state_digest()
+
+    if case == "none":
+        call(zone)
+        want_audit = [("pep.allow", f"{pre} rule=-"),
+                      ("pep.allow", f"{post} rule=-")] + op_audit
+        want_journal = journal_ops
+    else:
+        with pytest.raises(exc):
+            call(zone)
+        want_audit = [(event, f"{pre} rule=gate {detail}")]
+        want_journal = ["audit.append"]
+
+    got_audit = [(e.event, re.sub(r"run=[0-9a-f]{32}", "run=<id>", e.detail))
+                 for e in zone.catalog.audit_query(ADMIN)[audit_before:]]
+    got_journal = [r["op"] for r in zone.catalog.records()[records_before:]]
+    assert got_audit == want_audit
+    assert got_journal == want_journal
+    if case != "none":
+        assert zone.catalog.data_state_digest() == digest_before

@@ -1,5 +1,6 @@
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from pgzone import errors
 from pgzone.gateway.client import ClientError, ZoneClient
 from pgzone.gateway.config import GatewayConfig
-from pgzone.gateway.server import GatewayServer
+from pgzone.gateway.server import MAX_BODY, GatewayServer
 from pgzone.testing import free_port
 
 from conftest import ADMIN, ADMIN_SECRET, add_user, make_zone
@@ -76,6 +78,60 @@ def test_request_id_echoed(gw, admin_client):
 def test_request_id_generated_when_absent(gw):
     with urllib.request.urlopen(gw.url + "/ping") as resp:
         assert len(resp.headers["X-Request-Id"]) == 32
+
+
+@pytest.mark.parametrize("length", [b"-1", b"abc", b"%d" % (MAX_BODY + 1)])
+def test_bad_content_length_is_400_and_closes(gw, length):
+    # The request after the bad one must not be read from the unread body.
+    with socket.create_connection(gw.address, timeout=3) as sock:
+        sock.sendall(b"POST /login HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                     + length + b"\r\n\r\nGET /ping HTTP/1.1\r\n\r\n")
+        reply = b""
+        while chunk := sock.recv(4096):  # socket.timeout fails the test
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert reply.count(b"HTTP/1.1 ") == 1
+    assert ZoneClient(gw.url).ping()["zone"]
+
+
+# Every ZoneError subclass and the HTTP status the gateway answers it with.
+ERROR_STATUS = {
+    "ZoneError": 500,
+    "BadCredentials": 401,
+    "Denied": 403, "PermissionDenied": 403,
+    "NoSuchPath": 404, "NoSuchUser": 404, "NoSuchObject": 404,
+    "NoSuchResource": 404, "NoSuchRule": 404, "NoSuchWorkflow": 404,
+    "NoSuchRun": 404, "NoSuchReplica": 404, "NoParent": 404,
+    "UnknownDriver": 404, "UnknownPep": 404,
+    "DuplicateName": 409, "DuplicateRuleName": 409,
+    "DuplicateReplica": 409, "StaleInputs": 409,
+    "ParseError": 400, "MalformedPredicate": 400, "BadFraming": 400,
+    "BadInterval": 400, "TimestampsDecreasing": 400, "BadBindings": 400,
+    "KindMismatch": 400, "NotAStreamCollection": 400,
+    "NotAWorkflowCollection": 400, "EvalError": 400,
+    "UnboundVariable": 400, "TypeMismatch": 400, "DivisionByZero": 400,
+    "FetchFailed": 502,
+    "ChecksumMismatch": 500, "AllReplicasSuspect": 500,
+    "CorruptJournal": 500, "EngineError": 500,
+    "DriverError": 500, "NoSuchRef": 500, "Unsupported": 500,
+    "BadHandle": 500,
+}
+
+
+def test_error_status_table_covers_every_zone_error():
+    classes = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.ZoneError)}
+    assert classes == set(ERROR_STATUS)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_STATUS))
+def test_error_http_status(name):
+    assert getattr(errors, name).http_status == ERROR_STATUS[name]
+
+
+def test_fetch_failed_keeps_upstream_status_apart():
+    e = errors.FetchFailed("GET x -> 404", 404)
+    assert (e.status, e.http_status) == (404, 502)
 
 
 def test_unknown_route_is_404(gw, admin_client):
