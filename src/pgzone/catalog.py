@@ -1,11 +1,13 @@
 """The zone catalog: users, resources, collections, objects, metadata,
 policies, procedures, plus the audit trail.
 
-Every mutation is validated against the caller, applied to in-memory
-state, and recorded as one journal entry; replaying entries 1..k from an
-empty catalog reproduces the state after the k-th mutation exactly. A
-full snapshot is written every SNAPSHOT_EVERY mutations; recovery is
-latest snapshot plus tail replay.
+Every mutation is validated against the caller, appended to the journal
+as one record, and only then applied to in-memory state, so a failed
+append changes nothing. The journal is the only record of the commits:
+records() reads it back. Replaying records 1..k from an empty catalog
+reproduces the state after the k-th mutation exactly. A full snapshot is
+written every SNAPSHOT_EVERY mutations; recovery is latest snapshot plus
+tail replay.
 
 All state is kept as JSON-able dicts so snapshots, replay, and deep
 state comparison share one representation. Callers get immutable view
@@ -20,6 +22,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import hmac
+import json
 import os
 import posixpath
 import re
@@ -268,18 +271,16 @@ def _check_secret(secret: str, stored: str) -> bool:
 
 class Catalog:
     """See module docstring. Pass journal_dir=None for a purely in-memory
-    catalog (used for oracles and fast tests)."""
+    catalog (used for oracles and fast tests): its journal keeps the
+    records in a list."""
 
     def __init__(self, journal_dir: str | Path | None = None,
                  driver_names: Callable[[], Iterable[str]] | None = None):
         self._lock = threading.RLock()
         self._driver_names = driver_names
-        self._journal: Journal | None = None
-        self._records: list[dict] = []
         self._reset_state()
-        if journal_dir is not None:
-            self._journal = Journal(journal_dir)
-            self._recover()
+        self._journal = Journal(journal_dir)
+        self._recover()
 
     def _reset_state(self) -> None:
         self._seq = 0
@@ -299,111 +300,100 @@ class Catalog:
     # -- journal plumbing -------------------------------------------------
 
     def _commit(self, op: str, args: dict) -> None:
-        """Apply one validated mutation and journal it. Caller holds lock."""
+        """Journal one validated mutation, then apply it. Caller holds lock."""
         seq = self._seq + 1
+        self._journal.append(
+            {"seq": seq, "op": op, "args": args, "when": now_us()})
         self._apply(op, args, seq)
         self._seq = seq
-        record = {"seq": seq, "op": op, "args": args, "when": now_us()}
-        self._records.append(record)
-        if self._journal is not None:
-            self._journal.append(record)
-            if seq % SNAPSHOT_EVERY == 0:
-                self._journal.write_snapshot(seq, self.state_dict())
+        if seq % SNAPSHOT_EVERY == 0:
+            self._journal.write_snapshot(seq, self._state())
 
     def _recover(self) -> None:
-        assert self._journal is not None
+        """The one replay loop: load the latest snapshot, then apply the
+        journal records after it. Seqs must run 1..n."""
         records = self._journal.read_records()
-        for i, rec in enumerate(records):
-            if rec["seq"] != i + 1:
-                raise CorruptJournal(
-                    f"sequence gap: record {i + 1} has seq {rec['seq']}")
-        snap = self._journal.latest_snapshot()
         start = 0
+        snap = self._journal.latest_snapshot()
         if snap is not None:
-            snap_seq, state = snap
-            if snap_seq > len(records):
+            start, state = snap
+            if start > len(records):
                 raise CorruptJournal(
-                    f"snapshot at seq {snap_seq} but journal ends at "
+                    f"snapshot at seq {start} but journal ends at "
                     f"{len(records)}")
             self._load_state(state)
-            self._seq = snap_seq
-            start = snap_seq
-        for rec in records[start:]:
+        for seq, rec in enumerate(records, 1):
+            if rec["seq"] != seq:
+                raise CorruptJournal(
+                    f"sequence gap: record {seq} has seq {rec['seq']}")
+            if seq <= start:
+                continue
             try:
-                self._apply(rec["op"], rec["args"], rec["seq"])
+                self._apply(rec["op"], rec["args"], seq)
             except (KeyError, ValueError, TypeError, ZoneError) as e:
                 raise CorruptJournal(
-                    f"replay failed at seq {rec['seq']}: {e}") from e
-            self._seq = rec["seq"]
-        self._records = records
+                    f"replay failed at seq {seq}: {e}") from e
+        self._seq = len(records)
 
     @classmethod
     def replay(cls, records: Iterable[dict]) -> "Catalog":
-        """Rebuild a catalog purely from journal records."""
+        """Rebuild a catalog purely from journal records: they go into an
+        in-memory journal, which is then recovered like any other."""
         catalog = cls()
-        for i, raw in enumerate(records):
-            rec = validate_record(raw)
-            if rec["seq"] != i + 1:
-                raise CorruptJournal(
-                    f"sequence gap: record {i + 1} has seq {rec['seq']}")
-            if rec["op"] not in _APPLY:
-                raise CorruptJournal(f"unknown op {rec['op']!r}")
-            try:
-                catalog._apply(rec["op"], rec["args"], rec["seq"])
-            except (KeyError, ValueError, TypeError, ZoneError) as e:
-                raise CorruptJournal(
-                    f"replay failed at seq {rec['seq']}: {e}") from e
-            catalog._seq = rec["seq"]
-            catalog._records.append(rec)
+        for rec in records:
+            catalog._journal.append(validate_record(rec))
+        catalog._recover()
         return catalog
 
     def records(self) -> list[dict]:
         with self._lock:
-            return copy.deepcopy(self._records)
+            return self._journal.read_records()
 
     def close(self) -> None:
         with self._lock:
-            if self._journal is not None:
-                self._journal.close()
+            self._journal.close()
 
     # -- state serialization ----------------------------------------------
 
+    def _state(self) -> dict:
+        """The live state as one tree of the catalog's own dicts, not a
+        copy: the caller holds the lock and neither changes nor keeps it."""
+        return {
+            "last_seq": self._seq,
+            "users": self._users,
+            "resources": self._resources,
+            "collections": self._collections,
+            "objects": self._objects,
+            "avus": self._avus,
+            "rules": self._rules,
+            "rule_version": self._rule_version,
+            "workflows": self._workflows,
+            "runs": self._runs,
+            "orphans": self._orphans,
+            "stream_counters": self._stream_counters,
+            "audit": self._audit,
+        }
+
     def state_dict(self) -> dict:
-        """Full state as a JSON-able tree; used by snapshots and tests."""
+        """Full state as a JSON-able tree; the caller owns it."""
         with self._lock:
-            return {
-                "last_seq": self._seq,
-                "users": copy.deepcopy(self._users),
-                "resources": copy.deepcopy(self._resources),
-                "collections": copy.deepcopy(self._collections),
-                "objects": copy.deepcopy(self._objects),
-                "avus": {p: sorted(ts) for p, ts in self._avus.items() if ts},
-                "rules": copy.deepcopy(self._rules),
-                "rule_version": self._rule_version,
-                "workflows": copy.deepcopy(self._workflows),
-                "runs": copy.deepcopy(self._runs),
-                "orphans": copy.deepcopy(self._orphans),
-                "stream_counters": dict(self._stream_counters),
-                "audit": copy.deepcopy(self._audit),
-            }
+            return json.loads(json.dumps(self._state()))
 
     def data_state_digest(self) -> str:
         """Digest of everything except the audit trail and sequence counter
         (those legitimately advance when an operation is denied)."""
-        state = self.state_dict()
-        state.pop("audit")
-        state.pop("last_seq")
-        return sha256_hex(canonical_json(state).encode("utf-8"))
+        with self._lock:
+            state = self._state()
+            del state["audit"], state["last_seq"]
+            return sha256_hex(canonical_json(state).encode("utf-8"))
 
     def _load_state(self, state: dict) -> None:
-        state = copy.deepcopy(state)
         self._seq = state["last_seq"]
         self._users = state["users"]
         self._resources = state["resources"]
         self._collections = state["collections"]
         self._objects = state["objects"]
-        self._avus = {p: [list(t) for t in ts]
-                      for p, ts in state["avus"].items()}
+        self._avus = state["avus"]
         self._rules = state["rules"]
         self._rule_version = state["rule_version"]
         self._workflows = state["workflows"]

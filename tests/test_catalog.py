@@ -384,9 +384,19 @@ def random_session(c, rng, n=60):
                       rng.choice(["read", "write", "own"]))
 
 
-def test_replay_reproduces_state(rng):
-    c = fresh_catalog()
-    random_session(c, rng)
+@pytest.mark.parametrize("journaled", [False, True],
+                         ids=["memory", "journaled"])
+def test_replay_reproduces_state(tmp_path, rng, journaled):
+    if journaled:
+        c = Catalog(tmp_path)
+        c.create_user(SYSTEM, "admin", "admin", "pw")
+        c.make_collection(SYSTEM, "/", owner="admin")
+        random_session(c, rng, n=1000)
+        assert list(tmp_path.glob("snapshot-*.json")), \
+            "session should have crossed the snapshot threshold"
+    else:
+        c = fresh_catalog()
+        random_session(c, rng)
     rebuilt = Catalog.replay(c.records())
     assert rebuilt.state_dict() == c.state_dict()
 
@@ -441,3 +451,18 @@ def test_state_dict_is_json_clean():
     random_session(c, random.Random(5))
     state = c.state_dict()
     assert json.loads(json.dumps(state)) == state
+
+
+def test_state_dict_is_a_copy():
+    c = fresh_catalog()
+    random_session(c, random.Random(6))
+    want, digest = c.state_dict(), c.data_state_digest()
+    state = c.state_dict()
+    state["users"]["admin"]["role"] = "user"
+    state["collections"]["/data"]["acl"]["intruder"] = "own"
+    next(iter(state["avus"].values())).append(["x", "y", ""])
+    state["objects"].clear()
+    state["audit"].pop()
+    assert c.state_dict() == want
+    assert c.data_state_digest() == digest
+    assert c.is_admin("admin")

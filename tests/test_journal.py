@@ -110,3 +110,31 @@ def test_snapshot_malformed_document(tmp_path):
 
 def test_snapshot_every_constant():
     assert SNAPSHOT_EVERY == 1000
+
+
+def test_final_line_without_newline_is_torn(tmp_path):
+    j = Journal(tmp_path)
+    j.append(rec(1))
+    j.close()
+    with open(tmp_path / JOURNAL_NAME, "ab") as f:
+        f.write(canonical_json(rec(2)).encode())  # whole record, no newline
+    j = Journal(tmp_path)
+    assert [r["seq"] for r in j.read_records()] == [1]
+    j.append(rec(2, payload="again"))  # overwrites the torn bytes
+    j.close()
+    got = Journal(tmp_path).read_records()
+    assert [r["seq"] for r in got] == [1, 2]
+    assert got[1]["args"] == {"payload": "again"}
+
+
+def test_in_memory_journal_keeps_lines_and_no_snapshot():
+    j = Journal()
+    for i in range(1, 4):
+        j.append(rec(i, payload=[i]))
+    got = j.read_records()
+    assert [r["args"]["payload"] for r in got] == [[1], [2], [3]]
+    got[0]["args"]["payload"].append(99)  # each read is a fresh copy
+    assert j.read_records()[0]["args"] == {"payload": [1]}
+    assert j.write_snapshot(3, {"v": 1}) is None
+    assert j.latest_snapshot() is None
+    j.close()
