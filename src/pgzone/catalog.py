@@ -7,7 +7,8 @@ append changes nothing. The journal is the only record of the commits:
 records() reads it back. Replaying records 1..k from an empty catalog
 reproduces the state after the k-th mutation exactly. A full snapshot is
 written every SNAPSHOT_EVERY mutations; recovery is latest snapshot plus
-tail replay.
+tail replay. A snapshot that fails with an OSError is logged and skipped:
+the commit it follows stands, and the next boundary writes one.
 
 All state is kept as JSON-able dicts so snapshots, replay, and deep
 state comparison share one representation. Callers get immutable view
@@ -23,6 +24,7 @@ import copy
 import hashlib
 import hmac
 import json
+import logging
 import os
 import posixpath
 import re
@@ -53,6 +55,8 @@ from .errors import (
     ZoneError,
 )
 from .journal import Journal, canonical_json, validate_record, SNAPSHOT_EVERY
+
+log = logging.getLogger("pgzone.catalog")
 
 ROLES = ("admin", "user")
 COLLECTION_KINDS = ("plain", "stream", "workflow")
@@ -307,7 +311,12 @@ class Catalog:
         self._apply(op, args, seq)
         self._seq = seq
         if seq % SNAPSHOT_EVERY == 0:
-            self._journal.write_snapshot(seq, self._state())
+            # The commit stands without its snapshot: recovery replays a
+            # longer tail, and the next boundary tries again.
+            try:
+                self._journal.write_snapshot(seq, self._state())
+            except OSError as e:
+                log.error("snapshot at seq %d not written: %s", seq, e)
 
     def _recover(self) -> None:
         """The one replay loop: load the latest snapshot, then apply the

@@ -3,6 +3,12 @@
 Failures surface as ClientError carrying the HTTP status plus the
 server's error name and detail, so callers can branch on .status or
 .error without parsing text.
+
+A client talks to one server over one keep-alive session. It does not
+read the environment per request: the proxies for its server URL
+(HTTP(S)_PROXY, NO_PROXY) are resolved once, at construction, and
+~/.netrc is never consulted, since a netrc entry for the server's host
+would replace the bearer token.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ class ZoneClient:
         self.token = token
         self.timeout = timeout
         self._session = requests.Session()
+        self._session.trust_env = False
+        self._session.proxies = requests.utils.get_environ_proxies(
+            self.server)
 
     # -- plumbing ---------------------------------------------------------
 

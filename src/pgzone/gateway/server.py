@@ -375,6 +375,10 @@ def _make_handler(gateway: GatewayServer):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "pgzone-gateway"
+        # TCP_NODELAY: headers and body go out in separate sends, and on
+        # a keep-alive socket Nagle's algorithm would hold the body back
+        # until the client's delayed ACK (~40 ms) arrives.
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):
             log.debug("%s " + fmt, self.address_string(), *args)

@@ -17,7 +17,8 @@ Recovery is latest snapshot plus tail replay. A torn final line (the mark
 of a crash mid-append: it lacks its newline or does not parse) is dropped
 and cut off before the next append; a malformed line anywhere else means
 the journal is corrupt. Sequence numbers must be contiguous from 1. An
-append that fails leaves the file as it was before the append.
+append that fails leaves the file as it was before the append; a
+snapshot that fails leaves no temporary file behind.
 """
 
 from __future__ import annotations
@@ -111,8 +112,12 @@ class Journal:
         }
         target = self.dir / f"snapshot-{seq}.json"
         tmp = target.with_suffix(".tmp")
-        tmp.write_text(canonical_json(doc), encoding="utf-8")
-        os.replace(tmp, target)
+        try:
+            tmp.write_text(canonical_json(doc), encoding="utf-8")
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return target
 
     def close(self) -> None:

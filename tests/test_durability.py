@@ -1,9 +1,11 @@
 """The journal's durability contract: a torn tail is cut off before the
-next append, a failed append changes nothing, and recovery reproduces the
-live state exactly, down to the order of each path's metadata triples.
+next append, a failed append changes nothing, a failed snapshot fails no
+commit, and recovery reproduces the live state exactly, down to the order
+of each path's metadata triples.
 """
 
 import errno
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ import pgzone.journal as journal_mod
 from pgzone.catalog import Catalog
 from pgzone.common import SYSTEM
 from pgzone.journal import JOURNAL_NAME, SNAPSHOT_EVERY
+from pgzone.zone import Zone
 
 
 def new_catalog(journal_dir):
@@ -119,3 +122,53 @@ def test_avus_order_survives_recovery(tmp_path):
         assert again.avus("/d") == want
     finally:
         again.close()
+
+
+def enospc(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_snapshot_does_not_fail_the_commit(tmp_path, monkeypatch):
+    """A put whose object.put record is seq SNAPSHOT_EVERY still returns
+    and disposes of the replica it replaced when the snapshot fails."""
+    blobs = tmp_path / "blobs"
+    zone = Zone(journal_dir=tmp_path / "j", admin_secret="pw",
+                default_resource="disk")
+    zone.ensure_resource(SYSTEM, "disk", "localfs", str(blobs), "cache")
+    zone.engine.put("admin", "/home/f", b"one")
+    old_ref = zone.catalog.get_object("/home/f").replicas[0].physical_ref
+    # The put's pre-PEP audit entry takes the seq before object.put.
+    for i in range(SNAPSHOT_EVERY - 2 - len(zone.catalog.records())):
+        zone.catalog.audit_append("admin", "noise", str(i))
+
+    monkeypatch.setattr(journal_mod.Journal, "write_snapshot", enospc)
+    view = zone.engine.put("admin", "/home/f", b"two")
+    monkeypatch.undo()
+
+    assert view.version == 2
+    assert zone.catalog.records()[SNAPSHOT_EVERY - 1]["op"] == "object.put"
+    assert not list((tmp_path / "j").glob("snapshot-*"))
+    assert not Path(old_ref).exists()
+    assert zone.catalog.orphans() == []
+    digest = zone.catalog.data_state_digest()
+    zone.close()
+    with Zone(journal_dir=tmp_path / "j") as again:
+        assert again.catalog.data_state_digest() == digest
+        assert again.engine.get("admin", "/home/f") == b"two"
+
+
+def test_failed_snapshot_leaves_no_tmp_and_is_retried(tmp_path, monkeypatch):
+    c = new_catalog(tmp_path)
+    monkeypatch.setattr(journal_mod.os, "replace", enospc)
+    for i in range(SNAPSHOT_EVERY):
+        c.audit_append("admin", "noise", str(i))
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [JOURNAL_NAME]
+
+    for i in range(SNAPSHOT_EVERY):
+        c.audit_append("admin", "noise", str(i))
+    assert sorted(p.name for p in tmp_path.glob("snapshot-*")) == \
+        [f"snapshot-{2 * SNAPSHOT_EVERY}.json"]
+    want = c.state_dict()
+    c.close()
+    assert reopened_state(tmp_path) == want

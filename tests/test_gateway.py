@@ -4,15 +4,18 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.request
 from pathlib import Path
 
 import pytest
+import requests
 
 from pgzone import errors
 from pgzone.gateway.client import ClientError, ZoneClient
 from pgzone.gateway.config import GatewayConfig
 from pgzone.gateway.server import MAX_BODY, GatewayServer
+from pgzone.gateway.sessions import SessionStore
 from pgzone.testing import free_port
 
 from conftest import ADMIN, ADMIN_SECRET, add_user, make_zone
@@ -92,6 +95,88 @@ def test_bad_content_length_is_400_and_closes(gw, length):
     assert reply.startswith(b"HTTP/1.1 400 ")
     assert reply.count(b"HTTP/1.1 ") == 1
     assert ZoneClient(gw.url).ping()["zone"]
+
+
+def test_keepalive_requests_do_not_stall(gw):
+    # Without TCP_NODELAY each reply's body waits for the client's
+    # delayed ACK, about 40 ms: 50 requests would take 2 s or more.
+    client = ZoneClient(gw.url)
+    client.ping()
+    start = time.perf_counter()
+    for _ in range(50):
+        client.ping()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.lower(), raising=False)
+    return monkeypatch
+
+
+def test_netrc_entry_does_not_replace_bearer_token(gw, no_proxy_env,
+                                                    tmp_path):
+    netrc = tmp_path / ".netrc"
+    netrc.write_text("machine 127.0.0.1 login bob password x\n")
+    netrc.chmod(0o600)
+    no_proxy_env.setenv("HOME", str(tmp_path))
+    no_proxy_env.setenv("NETRC", str(netrc))
+    client = ZoneClient(gw.url)
+    client.login(ADMIN, ADMIN_SECRET)
+    assert client.list_collection("/home")["path"] == "/home"
+
+
+def test_proxies_resolved_once_at_construction(gw, no_proxy_env):
+    dead_proxy = f"http://127.0.0.1:{free_port()}"
+    no_proxy_env.setenv("HTTP_PROXY", dead_proxy)
+    proxies = ZoneClient("http://zone.example:8442")._session.proxies
+    assert proxies == \
+        requests.utils.get_environ_proxies("http://zone.example:8442")
+    assert proxies["http"] == dead_proxy
+
+    no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
+    client = ZoneClient(gw.url)
+    assert client._session.proxies == \
+        requests.utils.get_environ_proxies(gw.url) == {}
+    # The environment is not read again per request: were it, this ping
+    # would go to the dead proxy.
+    no_proxy_env.delenv("NO_PROXY")
+    assert client.ping()["zone"]
+
+
+class _OpenCatalog:
+    """Accepts every secret and keeps no audit trail."""
+
+    def verify_secret(self, user, secret):
+        return True
+
+    def audit_append(self, actor, event, detail):
+        pass
+
+
+def test_session_lookup_among_many_sessions():
+    store = SessionStore(_OpenCatalog())
+    tokens = [(store.login(f"u{i % 97}", "pw").token, f"u{i % 97}")
+              for i in range(10_000)]
+    for token, user in tokens[::499] + tokens[-1:]:
+        assert store.authenticate(token) == user
+    token, _user = tokens[1234]
+    store.expire_now(token)
+    for bad in (token, tokens[0][0][:-1] + "x", "", None):
+        with pytest.raises(errors.BadCredentials):
+            store.authenticate(bad)
+    assert len(store._sessions) == 9_999  # the lookup dropped it
+    assert store.authenticate(tokens[1235][0]) == tokens[1235][1]
+
+
+def test_expired_sessions_do_not_pile_up():
+    store = SessionStore(_OpenCatalog(), ttl_us=0)  # expired on arrival
+    tokens = [store.login("u", "pw").token for _ in range(5000)]
+    with pytest.raises(errors.BadCredentials):
+        store.authenticate(tokens[-1])
+    assert len(store._sessions) <= 2048
 
 
 # Every ZoneError subclass and the HTTP status the gateway answers it with.
