@@ -5,10 +5,14 @@ Every mutation is validated against the caller, appended to the journal
 as one record, and only then applied to in-memory state, so a failed
 append changes nothing. The journal is the only record of the commits:
 records() reads it back. Replaying records 1..k from an empty catalog
-reproduces the state after the k-th mutation exactly. A full snapshot is
-written every SNAPSHOT_EVERY mutations; recovery is latest snapshot plus
-tail replay. A snapshot that fails with an OSError is logged and skipped:
-the commit it follows stands, and the next boundary writes one.
+reproduces the state after the k-th mutation exactly. A snapshot of the
+state, without the audit trail, is written every SNAPSHOT_EVERY
+mutations, and the journal keeps only the newest two. Recovery loads the
+latest snapshot, replays the records after it, and rebuilds the audit
+trail from every audit.append record in the journal, before the
+snapshot's seq as well as after. A snapshot that fails with an OSError is
+logged and skipped: the commit it follows stands, and the next boundary
+writes one.
 
 All state is kept as JSON-able dicts so snapshots, replay, and deep
 state comparison share one representation. Callers get immutable view
@@ -320,7 +324,8 @@ class Catalog:
 
     def _recover(self) -> None:
         """The one replay loop: load the latest snapshot, then apply the
-        journal records after it. Seqs must run 1..n."""
+        journal records after it and every audit.append record, since a
+        snapshot holds no audit trail. Seqs must run 1..n."""
         records = self._journal.read_records()
         start = 0
         snap = self._journal.latest_snapshot()
@@ -335,7 +340,7 @@ class Catalog:
             if rec["seq"] != seq:
                 raise CorruptJournal(
                     f"sequence gap: record {seq} has seq {rec['seq']}")
-            if seq <= start:
+            if seq <= start and rec["op"] != "audit.append":
                 continue
             try:
                 self._apply(rec["op"], rec["args"], seq)
@@ -365,8 +370,9 @@ class Catalog:
     # -- state serialization ----------------------------------------------
 
     def _state(self) -> dict:
-        """The live state as one tree of the catalog's own dicts, not a
-        copy: the caller holds the lock and neither changes nor keeps it."""
+        """The live state except the audit trail, which is what a snapshot
+        holds, as one tree of the catalog's own dicts, not a copy: the
+        caller holds the lock and neither changes nor keeps it."""
         return {
             "last_seq": self._seq,
             "users": self._users,
@@ -380,23 +386,26 @@ class Catalog:
             "runs": self._runs,
             "orphans": self._orphans,
             "stream_counters": self._stream_counters,
-            "audit": self._audit,
         }
 
     def state_dict(self) -> dict:
         """Full state as a JSON-able tree; the caller owns it."""
         with self._lock:
-            return json.loads(json.dumps(self._state()))
+            state = self._state()
+            state["audit"] = self._audit
+            return json.loads(json.dumps(state))
 
     def data_state_digest(self) -> str:
         """Digest of everything except the audit trail and sequence counter
         (those legitimately advance when an operation is denied)."""
         with self._lock:
             state = self._state()
-            del state["audit"], state["last_seq"]
+            del state["last_seq"]
             return sha256_hex(canonical_json(state).encode("utf-8"))
 
     def _load_state(self, state: dict) -> None:
+        """Adopt a snapshot's state. An "audit" key, which snapshots once
+        held, is ignored: _recover rebuilds the trail from the journal."""
         self._seq = state["last_seq"]
         self._users = state["users"]
         self._resources = state["resources"]
@@ -409,7 +418,6 @@ class Catalog:
         self._runs = state["runs"]
         self._orphans = state["orphans"]
         self._stream_counters = state["stream_counters"]
-        self._audit = state["audit"]
 
     # -- access helpers -----------------------------------------------------
 

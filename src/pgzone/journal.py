@@ -8,22 +8,31 @@ Layout inside the journal directory:
 
   journal.log          one JSON object per line:
                        {"seq": n, "op": "...", "args": {...}, "when": us}
-  snapshot-<seq>.json  full state as of seq, with an integrity hash
+  snapshot-<seq>.json  the state the caller hands over as of seq, with an
+                       integrity hash; the catalog leaves its audit trail
+                       out, and rebuilds it from journal.log on recovery
 
 A journal made without a directory keeps its lines in a list and writes
 no snapshot.
 
-Recovery is latest snapshot plus tail replay. A torn final line (the mark
-of a crash mid-append: it lacks its newline or does not parse) is dropped
-and cut off before the next append; a malformed line anywhere else means
-the journal is corrupt. Sequence numbers must be contiguous from 1. An
-append that fails leaves the file as it was before the append; a
-snapshot that fails leaves no temporary file behind.
+Recovery is latest snapshot plus tail replay. The whole journal is parsed
+with one json.loads; only when that fails does a per-line parse find the
+fault. A torn final line (the mark of a crash mid-append: it lacks its
+newline or does not parse) is dropped and cut off before the next append;
+a malformed line anywhere else means the journal is corrupt. Sequence
+numbers must be contiguous from 1. An append that fails leaves the file
+as it was before the append.
+
+A snapshot is written to snapshot-<seq>.tmp and renamed into place. Only
+then are all but the newest KEEP_SNAPSHOTS snapshots deleted, together
+with any .tmp file a kill left behind. A snapshot that fails deletes
+nothing and leaves no temporary file behind.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 from pathlib import Path
 from typing import Any
@@ -31,8 +40,11 @@ from typing import Any
 from .common import now_us, sha256_hex
 from .errors import CorruptJournal
 
+log = logging.getLogger("pgzone.journal")
+
 JOURNAL_NAME = "journal.log"
 SNAPSHOT_EVERY = 1000
+KEEP_SNAPSHOTS = 2
 
 _RECORD_KEYS = {"seq", "op", "args", "when"}
 
@@ -58,7 +70,7 @@ class Journal:
 
     def __init__(self, directory: str | Path | None = None):
         self.dir = self.path = None
-        self._lines: list[str] = []   # the records of an in-memory journal
+        self._lines: list[bytes] = []  # the records of an in-memory journal
         self._file = None
         # Bytes of whole records in journal.log, once read_records or the
         # first append has looked; the file is cut back to this on reopen.
@@ -80,12 +92,12 @@ class Journal:
         return self._file
 
     def append(self, record: dict) -> None:
-        line = canonical_json(record)
+        line = canonical_json(record).encode("ascii")
         if self.path is None:
             self._lines.append(line)
             return
         f = self._ensure_open()
-        data = memoryview((line + "\n").encode("ascii"))
+        data = memoryview(line + b"\n")
         try:
             while data:
                 data = data[f.write(data):]
@@ -104,21 +116,33 @@ class Journal:
         if self.dir is None:
             return None
         body = canonical_json(state)
-        doc = {
-            "seq": seq,
-            "when": now_us(),
-            "state": state,
-            "state_hash": sha256_hex(body.encode("utf-8")),
-        }
+        # canonical_json of {"seq", "state", "state_hash", "when"}, built
+        # around the one serialization of the state.
+        text = '{"seq":%d,"state":%s,"state_hash":"%s","when":%d}' % (
+            seq, body, sha256_hex(body.encode("utf-8")), now_us())
         target = self.dir / f"snapshot-{seq}.json"
         tmp = target.with_suffix(".tmp")
         try:
-            tmp.write_text(canonical_json(doc), encoding="utf-8")
+            tmp.write_text(text, encoding="utf-8")
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        self._prune()
         return target
+
+    def _prune(self) -> None:
+        """Delete all but the newest KEEP_SNAPSHOTS snapshots, and any
+        temporary file a kill left between a write and its rename. A file
+        that cannot be deleted stays until the next snapshot prunes."""
+        stale = [p for _, p in self._snapshots()[:-KEEP_SNAPSHOTS]]
+        stale += self.dir.glob("snapshot-*.tmp")
+        for p in stale:
+            try:
+                p.unlink(missing_ok=True)
+            except OSError as e:
+                log.warning("stale snapshot file %s not deleted: %s",
+                            p.name, e)
 
     def close(self) -> None:
         if self._file is not None:
@@ -131,38 +155,35 @@ class Journal:
     def read_records(self) -> list[dict]:
         """Parse every record; tolerate only a torn final line."""
         if self.path is None:
-            lines, tail = self._lines, ""
+            lines, tail = self._lines, b""
         else:
             data = self.path.read_bytes() if self.path.exists() else b""
             lines = data.split(b"\n")
             tail = lines.pop()  # b"" when the file ends on a newline
-        records: list[dict] = []
-        end = 0
-        for i, line in enumerate(lines, 1):
-            try:
-                records.append(validate_record(json.loads(line)))
-            except (ValueError, CorruptJournal):
-                if i < len(lines) or tail:
-                    raise CorruptJournal(f"malformed journal line {i}")
-                break  # torn final line from a crash mid-append
-            end += len(line) + 1
-        self._end = end
+        records = _parse_at_once(lines)
+        if records is None:
+            records = _parse_each(lines, tail)
+        self._end = sum(len(line) + 1 for line in lines[:len(records)])
         return records
+
+    def _snapshots(self) -> list[tuple[int, Path]]:
+        """(seq, path) of each snapshot file, oldest first."""
+        found = []
+        for p in self.dir.glob("snapshot-*.json"):
+            try:
+                found.append((int(p.stem.split("-", 1)[1]), p))
+            except (IndexError, ValueError):
+                continue
+        return sorted(found)
 
     def latest_snapshot(self) -> tuple[int, dict] | None:
         """Return (seq, state) of the newest valid-looking snapshot file."""
         if self.dir is None:
             return None
-        best_seq, best_path = -1, None
-        for p in self.dir.glob("snapshot-*.json"):
-            try:
-                seq = int(p.stem.split("-", 1)[1])
-            except (IndexError, ValueError):
-                continue
-            if seq > best_seq:
-                best_seq, best_path = seq, p
-        if best_path is None:
+        snapshots = self._snapshots()
+        if not snapshots:
             return None
+        best_seq, best_path = snapshots[-1]
         try:
             doc = json.loads(best_path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as e:
@@ -175,3 +196,35 @@ class Journal:
         if got_hash != want_hash:
             raise CorruptJournal(f"snapshot hash mismatch in {best_path.name}")
         return best_seq, state
+
+
+def _parse_at_once(lines: list[bytes]) -> list[dict] | None:
+    """All lines as records with one json.loads, or None unless there is
+    exactly one valid record per line; _parse_each then finds the fault.
+    The count cannot catch a line that holds a record and a half whose
+    other half ends the next line; no append writes such lines."""
+    try:
+        records = json.loads(b"[" + b",".join(lines) + b"]")
+    except ValueError:
+        return None
+    if len(records) != len(lines):
+        return None
+    try:
+        for record in records:
+            validate_record(record)
+    except CorruptJournal:
+        return None
+    return records
+
+
+def _parse_each(lines: list[bytes], tail: bytes) -> list[dict]:
+    """Parse line by line; drop a torn final line, raise on any other."""
+    records: list[dict] = []
+    for i, line in enumerate(lines, 1):
+        try:
+            records.append(validate_record(json.loads(line)))
+        except (ValueError, CorruptJournal):
+            if i < len(lines) or tail:
+                raise CorruptJournal(f"malformed journal line {i}")
+            break  # torn final line from a crash mid-append
+    return records

@@ -1,18 +1,20 @@
 """The journal's durability contract: a torn tail is cut off before the
 next append, a failed append changes nothing, a failed snapshot fails no
-commit, and recovery reproduces the live state exactly, down to the order
-of each path's metadata triples.
+commit and deletes nothing, only the newest two snapshots are kept, and
+recovery reproduces the live state exactly, down to the order of each
+path's metadata triples and the audit trail a snapshot leaves out.
 """
 
 import errno
+import json
 from pathlib import Path
 
 import pytest
 
 import pgzone.journal as journal_mod
 from pgzone.catalog import Catalog
-from pgzone.common import SYSTEM
-from pgzone.journal import JOURNAL_NAME, SNAPSHOT_EVERY
+from pgzone.common import SYSTEM, sha256_hex
+from pgzone.journal import JOURNAL_NAME, SNAPSHOT_EVERY, canonical_json
 from pgzone.zone import Zone
 
 
@@ -172,3 +174,110 @@ def test_failed_snapshot_leaves_no_tmp_and_is_retried(tmp_path, monkeypatch):
     want = c.state_dict()
     c.close()
     assert reopened_state(tmp_path) == want
+
+
+def snapshot_names(journal_dir):
+    return sorted(p.name for p in journal_dir.glob("snapshot-*"))
+
+
+def noise(c, n):
+    for i in range(n):
+        c.audit_append("admin", "noise", str(i))
+
+
+def test_audit_trail_survives_reopen_from_snapshot(tmp_path):
+    c = new_catalog(tmp_path)
+    noise(c, SNAPSHOT_EVERY + 10)
+    snapshot = tmp_path / f"snapshot-{SNAPSHOT_EVERY}.json"
+    assert "audit" not in json.loads(snapshot.read_text())["state"]
+    want = c.audit_query("admin")
+    assert want[0].seq < SNAPSHOT_EVERY < want[-1].seq
+    digest = c.data_state_digest()
+    c.close()
+    again = Catalog(tmp_path)
+    try:
+        assert again.audit_query("admin") == want
+        assert again.data_state_digest() == digest
+    finally:
+        again.close()
+
+
+def test_snapshot_with_audit_trail_opens_without_duplicates(tmp_path):
+    """A snapshot that still holds the audit trail, as snapshots once did,
+    yields each audit entry once: the journal's records rebuild it."""
+    c = new_catalog(tmp_path)
+    noise(c, SNAPSHOT_EVERY + 10)
+    want, digest = c.audit_query("admin"), c.data_state_digest()
+    c.close()
+    snapshot = tmp_path / f"snapshot-{SNAPSHOT_EVERY}.json"
+    doc = json.loads(snapshot.read_text())
+    doc["state"]["audit"] = [
+        {"seq": e.seq, "when": e.when, "actor": e.actor, "event": e.event,
+         "detail": e.detail} for e in want if e.seq <= SNAPSHOT_EVERY]
+    doc["state_hash"] = sha256_hex(canonical_json(doc["state"]).encode())
+    snapshot.write_text(canonical_json(doc))
+    again = Catalog(tmp_path)
+    try:
+        assert again.audit_query("admin") == want
+        assert again.data_state_digest() == digest
+    finally:
+        again.close()
+
+
+def test_only_the_newest_two_snapshots_are_kept(tmp_path):
+    c = new_catalog(tmp_path)
+    noise(c, 5 * SNAPSHOT_EVERY - len(c.records()))
+    assert snapshot_names(tmp_path) == [
+        f"snapshot-{4 * SNAPSHOT_EVERY}.json",
+        f"snapshot-{5 * SNAPSHOT_EVERY}.json"]
+    want = c.state_dict()
+    c.close()
+    assert reopened_state(tmp_path) == want
+
+
+def test_failed_snapshot_deletes_nothing(tmp_path, monkeypatch):
+    c = new_catalog(tmp_path)
+    noise(c, 2 * SNAPSHOT_EVERY - len(c.records()))
+    (tmp_path / "snapshot-1500.tmp").write_text("{")  # left by a kill
+    before = snapshot_names(tmp_path)
+    monkeypatch.setattr(journal_mod.os, "replace", enospc)
+    noise(c, SNAPSHOT_EVERY)
+    monkeypatch.undo()
+    assert snapshot_names(tmp_path) == before == [
+        "snapshot-1000.json", "snapshot-1500.tmp", "snapshot-2000.json"]
+    c.close()
+
+
+def test_stale_tmp_is_deleted_at_next_snapshot(tmp_path):
+    c = new_catalog(tmp_path)
+    (tmp_path / "snapshot-700.tmp").write_text('{"seq":700')  # left by a kill
+    noise(c, SNAPSHOT_EVERY - len(c.records()) - 1)
+    assert "snapshot-700.tmp" in snapshot_names(tmp_path)
+    noise(c, 1)
+    assert snapshot_names(tmp_path) == [f"snapshot-{SNAPSHOT_EVERY}.json"]
+    want = c.state_dict()
+    c.close()
+    assert reopened_state(tmp_path) == want
+
+
+def test_snapshot_that_cannot_be_pruned_is_pruned_later(tmp_path,
+                                                        monkeypatch, caplog):
+    c = new_catalog(tmp_path)
+    noise(c, 2 * SNAPSHOT_EVERY - len(c.records()))
+    real_unlink = Path.unlink
+
+    def failing_unlink(self, missing_ok=False):
+        if self.name == f"snapshot-{SNAPSHOT_EVERY}.json":
+            raise OSError(errno.EACCES, "Permission denied")
+        real_unlink(self, missing_ok=missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", failing_unlink)
+    noise(c, SNAPSHOT_EVERY)
+    monkeypatch.undo()
+    assert "not deleted" in caplog.text
+    assert snapshot_names(tmp_path) == [
+        "snapshot-1000.json", "snapshot-2000.json", "snapshot-3000.json"]
+    noise(c, SNAPSHOT_EVERY)
+    assert snapshot_names(tmp_path) == [
+        "snapshot-3000.json", "snapshot-4000.json"]
+    c.close()

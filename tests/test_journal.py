@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pgzone.common import sha256_hex
 from pgzone.errors import CorruptJournal
 from pgzone.journal import (
     JOURNAL_NAME,
@@ -69,6 +70,35 @@ def test_malformed_interior_line_is_corrupt(tmp_path):
         Journal(tmp_path).read_records()
 
 
+@pytest.mark.parametrize("bad", [
+    canonical_json(rec(2)) + "," + canonical_json(rec(3)),  # two records
+    "",                                                     # empty line
+], ids=["two-records", "empty"])
+def test_malformed_line_found_after_one_pass_parse(tmp_path, bad):
+    j = Journal(tmp_path)
+    j.append(rec(1))
+    j.close()
+    with open(tmp_path / JOURNAL_NAME, "a") as f:
+        f.write(bad + "\n")
+        f.write(canonical_json(rec(4)) + "\n")
+    with pytest.raises(CorruptJournal, match="malformed journal line 2"):
+        Journal(tmp_path).read_records()
+
+
+def test_unparsable_final_line_is_torn_and_overwritten(tmp_path):
+    j = Journal(tmp_path)
+    j.append(rec(1))
+    j.close()
+    with open(tmp_path / JOURNAL_NAME, "a") as f:
+        f.write('{"seq": 2, "op"\n')  # newline written, record not
+    j = Journal(tmp_path)
+    assert [r["seq"] for r in j.read_records()] == [1]
+    j.append(rec(2))
+    j.close()
+    assert [r["seq"] for r in Journal(tmp_path).read_records()] == [1, 2]
+    assert (tmp_path / JOURNAL_NAME).read_text().count("\n") == 2
+
+
 def test_empty_dir_reads_empty(tmp_path):
     assert Journal(tmp_path).read_records() == []
     assert Journal(tmp_path).latest_snapshot() is None
@@ -80,6 +110,17 @@ def test_snapshot_round_trip(tmp_path):
     j.write_snapshot(42, state)
     seq, got = j.latest_snapshot()
     assert seq == 42 and got == state
+
+
+def test_snapshot_file_is_canonical_json(tmp_path):
+    state = {"users": {"u": {"role": "user", "groups": ["g"]}},
+             "note": "caf\u00e9 \"q\"", "n": 7}
+    Journal(tmp_path).write_snapshot(42, state)
+    text = (tmp_path / "snapshot-42.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == canonical_json(doc)
+    assert doc["seq"] == 42 and doc["state"] == state
+    assert doc["state_hash"] == sha256_hex(canonical_json(state).encode())
 
 
 def test_latest_snapshot_picks_newest(tmp_path):
