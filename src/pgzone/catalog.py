@@ -18,6 +18,13 @@ All state is kept as JSON-able dicts so snapshots, replay, and deep
 state comparison share one representation. Callers get immutable view
 dataclasses, never the internal dicts.
 
+Two indexes are derived state: the children of each collection, and
+the paths under each attribute (name, value) pair. The _apply_*
+functions keep them and _load_state rebuilds them, so recovery and
+replay rebuild them too; they are never journaled or written to a
+snapshot. A listing then costs O(children), and a metadata query
+O(distinct pairs under the name it narrows to).
+
 Mutations are serialized through one lock (the journal sequence is the
 linearization order); the catalog object may be shared across threads.
 """
@@ -30,7 +37,6 @@ import hmac
 import json
 import logging
 import os
-import posixpath
 import re
 import threading
 from dataclasses import dataclass
@@ -169,7 +175,9 @@ def validate_path(path: str) -> str:
 
 
 def parent_path(path: str) -> str:
-    return posixpath.dirname(path.rstrip("/")) or "/"
+    """The same as posixpath.dirname for every path validate_path takes,
+    at a third of the cost; it differs only on a leading "//"."""
+    return path.rstrip("/").rpartition("/")[0].rstrip("/") or "/"
 
 
 # --------------------------------------------------------------------------
@@ -304,6 +312,9 @@ class Catalog:
         self._orphans: list[dict] = []
         self._stream_counters: dict[str, int] = {}
         self._audit: list[dict] = []
+        # Derived from the above; see the module docstring.
+        self._children: dict[str, set[str]] = {}
+        self._avu_index: dict[str, dict[str, set[str]]] = {}
 
     # -- journal plumbing -------------------------------------------------
 
@@ -418,6 +429,16 @@ class Catalog:
         self._runs = state["runs"]
         self._orphans = state["orphans"]
         self._stream_counters = state["stream_counters"]
+        self._children = {}
+        self._avu_index = {}
+        for path in self._collections:
+            if path != "/":
+                self._add_child(path)
+        for path in self._objects:
+            self._add_child(path)
+        for path, triples in self._avus.items():
+            for name, value, _comment in triples:
+                self._index_avu(path, name, value)
 
     # -- access helpers -----------------------------------------------------
 
@@ -620,10 +641,9 @@ class Catalog:
         with self._lock:
             if path not in self._collections:
                 raise NoSuchPath(path)
-            subcolls = sorted(p for p in self._collections
-                              if p != "/" and parent_path(p) == path)
-            objects = sorted(p for p in self._objects
-                             if parent_path(p) == path)
+            children = self._children.get(path, ())
+            subcolls = sorted(p for p in children if p in self._collections)
+            objects = sorted(p for p in children if p in self._objects)
             return subcolls, objects
 
     def set_acl(self, caller: str, path: str, principal: str,
@@ -680,11 +700,28 @@ class Catalog:
             predicate = AvuPredicate.parse(predicate)
         if not isinstance(predicate, AvuPredicate):
             raise MalformedPredicate(f"not a predicate: {predicate!r}")
+        name_lit = value_lit = None
+        for field, op, lit in predicate.clauses:
+            if op == "=" and field == "name" and name_lit is None:
+                name_lit = lit
+            elif op == "=" and field == "value" and value_lit is None:
+                value_lit = lit
+        # A triple matches on its name and value alone, so a path matches
+        # when one of its (name, value) pairs does.
+        hits: set[str] = set()
         with self._lock:
-            hits = [
-                path for path, triples in self._avus.items()
-                if any(predicate.matches_triple(t[0], t[1]) for t in triples)
-            ]
+            if name_lit is None:
+                by_name = self._avu_index.items()
+            else:
+                by_name = [(name_lit, self._avu_index.get(name_lit, {}))]
+            for name, by_value in by_name:
+                if value_lit is None:
+                    pairs = by_value.items()
+                else:
+                    pairs = [(value_lit, by_value.get(value_lit, ()))]
+                for value, paths in pairs:
+                    if paths and predicate.matches_triple(name, value):
+                        hits.update(paths)
         return sorted(hits)
 
     # -- audit -------------------------------------------------------------
@@ -918,10 +955,35 @@ class Catalog:
             "kind": a["kind"],
         }
 
+    # These two run for every record a reopen replays: they look up
+    # before they insert, as setdefault would build a throwaway container
+    # each call, which costs more in garbage collection than the lookup.
+
+    def _add_child(self, path: str) -> None:
+        parent = parent_path(path)
+        children = self._children.get(parent)
+        if children is None:
+            self._children[parent] = {path}
+        else:
+            children.add(path)
+
+    def _index_avu(self, path: str, name: str, value: str) -> None:
+        by_value = self._avu_index.get(name)
+        if by_value is None:
+            self._avu_index[name] = {value: {path}}
+            return
+        paths = by_value.get(value)
+        if paths is None:
+            by_value[value] = {path}
+        else:
+            paths.add(path)
+
     def _apply_collection_create(self, a: dict, seq: int) -> None:
         self._collections[a["path"]] = {
             "owner": a["owner"], "acl": dict(a["acl"]), "kind": a["kind"],
         }
+        if a["path"] != "/":
+            self._add_child(a["path"])
 
     def _apply_acl_set(self, a: dict, seq: int) -> None:
         node = self._node(a["path"])
@@ -932,6 +994,7 @@ class Catalog:
         triple = [a["name"], a["value"], a["comment"]]
         if triple not in triples:
             triples.append(triple)
+            self._index_avu(a["path"], a["name"], a["value"])
 
     def _apply_object_put(self, a: dict, seq: int) -> None:
         replica = {
@@ -944,6 +1007,7 @@ class Catalog:
                 "owner": a["owner"], "acl": {a["owner"]: "own"},
                 "version": 1, "replicas": [replica],
             }
+            self._add_child(a["path"])
         else:
             obj["version"] += 1
             obj["replicas"] = [replica]
@@ -961,8 +1025,21 @@ class Catalog:
                 r["status"] = a["status"]
 
     def _apply_object_remove(self, a: dict, seq: int) -> None:
-        del self._objects[a["path"]]
-        self._avus.pop(a["path"], None)
+        path = a["path"]
+        del self._objects[path]
+        self._children[parent_path(path)].discard(path)
+        # Triples that differ only in their comment share one pair.
+        pairs = {(name, value) for name, value, _ in self._avus.pop(path, ())}
+        for name, value in pairs:
+            # Drop emptied buckets, so a query's work stays bounded by
+            # the live (name, value) pairs.
+            by_value = self._avu_index[name]
+            paths = by_value[value]
+            paths.discard(path)
+            if not paths:
+                del by_value[value]
+                if not by_value:
+                    del self._avu_index[name]
 
     def _apply_orphan_add(self, a: dict, seq: int) -> None:
         self._orphans.append({

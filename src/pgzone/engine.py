@@ -27,9 +27,8 @@ from __future__ import annotations
 import threading
 import urllib.error
 import urllib.request
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .catalog import Catalog, ObjectView, RuleEntryView, parent_path, validate_path
 from .common import SYSTEM, sha256_hex
@@ -297,6 +296,34 @@ class _VerdictSignal(Exception):
         self.verdict = verdict
 
 
+class _Trap:
+    """The context manager Engine.trapped returns. A class, because a
+    @contextmanager generator costs ~2.5 us more per trapped operation."""
+
+    __slots__ = ("engine", "op", "actor", "bindings")
+
+    def __init__(self, engine: "Engine", op: str, actor: str,
+                 extra: dict[str, Value]):
+        self.engine, self.op, self.actor = engine, op, actor
+        self.bindings: dict[str, Value] = {
+            "user.name": actor, "user.role": engine._role_of(actor),
+            "op": op, **extra}
+
+    def __enter__(self) -> dict[str, Value]:
+        pre = f"pep.{self.op}.pre"
+        verdict = self.engine.fire_pep(pre, self.actor, self.bindings)
+        if verdict.kind == "deny":
+            raise Denied(verdict.detail or "denied by policy")
+        if verdict.kind == "error":
+            raise EngineError(f"policy error at {pre}: {verdict.detail}")
+        return self.bindings
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.engine.fire_pep(f"pep.{self.op}.post", self.actor,
+                                 self.bindings)
+
+
 class Engine:
     def __init__(self, catalog: Catalog, drivers: DriverRegistry,
                  default_resource: str | None = None):
@@ -410,25 +437,13 @@ class Engine:
         self.catalog.audit_append(actor, f"pep.{verdict.kind}", detail)
         return verdict
 
-    @contextmanager
-    def trapped(self, op: str, actor: str,
-                **extra: Value) -> Iterator[dict[str, Value]]:
+    def trapped(self, op: str, actor: str, **extra: Value) -> "_Trap":
         """Trap one client operation: fire pep.<op>.pre, run the with-block
-        as the effect, then fire pep.<op>.post. Yields the firing's
-        bindings. A pre Deny raises Denied and an Error raises
+        as the effect, then fire pep.<op>.post. The with-statement's
+        target is the firing's bindings. A pre Deny raises Denied and an Error raises
         EngineError, both before the effect; an effect that raises skips
         post."""
-        bindings: dict[str, Value] = {
-            "user.name": actor, "user.role": self._role_of(actor), "op": op,
-            **extra}
-        pre = f"pep.{op}.pre"
-        verdict = self.fire_pep(pre, actor, bindings)
-        if verdict.kind == "deny":
-            raise Denied(verdict.detail or "denied by policy")
-        if verdict.kind == "error":
-            raise EngineError(f"policy error at {pre}: {verdict.detail}")
-        yield bindings
-        self.fire_pep(f"pep.{op}.post", actor, bindings)
+        return _Trap(self, op, actor, extra)
 
     def _run_chain(self, items: Iterable, scope: _Scope, actor: str,
                    rule_name: str | None = None,

@@ -8,9 +8,12 @@ Layout inside the journal directory:
 
   journal.log          one JSON object per line:
                        {"seq": n, "op": "...", "args": {...}, "when": us}
-  snapshot-<seq>.json  the state the caller hands over as of seq, with an
-                       integrity hash; the catalog leaves its audit trail
-                       out, and rebuilds it from journal.log on recovery
+  snapshot-<seq>.json  {"seq":S,"state":BODY,"state_hash":H,"when":W}
+                       with BODY the canonical JSON of the state the
+                       caller hands over as of seq S, and H its sha256,
+                       checked over BODY's bytes as read; the catalog
+                       leaves its audit trail out, and rebuilds it from
+                       journal.log on recovery
 
 A journal made without a directory keeps its lines in a list and writes
 no snapshot.
@@ -34,6 +37,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 from pathlib import Path
 from typing import Any
 
@@ -47,6 +51,8 @@ SNAPSHOT_EVERY = 1000
 KEEP_SNAPSHOTS = 2
 
 _RECORD_KEYS = {"seq", "op", "args", "when"}
+# What follows the state in a snapshot file; see write_snapshot.
+_SNAPSHOT_SUFFIX = re.compile(rb',"state_hash":"([0-9a-f]{64})","when":-?\d+\}')
 
 
 def canonical_json(value: Any) -> str:
@@ -177,7 +183,9 @@ class Journal:
         return sorted(found)
 
     def latest_snapshot(self) -> tuple[int, dict] | None:
-        """Return (seq, state) of the newest valid-looking snapshot file."""
+        """Return (seq, state) of the newest snapshot file. The file must
+        have exactly the layout write_snapshot gives it, and its hash is
+        checked over the state's bytes as read, before they are parsed."""
         if self.dir is None:
             return None
         snapshots = self._snapshots()
@@ -185,16 +193,24 @@ class Journal:
             return None
         best_seq, best_path = snapshots[-1]
         try:
-            doc = json.loads(best_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
+            data = best_path.read_bytes()
+        except OSError as e:
             raise CorruptJournal(f"unreadable snapshot {best_path.name}: {e}")
-        state = doc.get("state")
-        want_hash = doc.get("state_hash")
-        if not isinstance(state, dict) or not isinstance(want_hash, str):
-            raise CorruptJournal(f"malformed snapshot {best_path.name}")
-        got_hash = sha256_hex(canonical_json(state).encode("utf-8"))
-        if got_hash != want_hash:
+        prefix = b'{"seq":%d,"state":' % best_seq
+        # rfind: the state may itself hold a "state_hash" key.
+        cut = data.rfind(b',"state_hash":"')
+        suffix = _SNAPSHOT_SUFFIX.fullmatch(data, cut) \
+            if cut >= len(prefix) else None
+        body = data[len(prefix):cut]
+        if not data.startswith(prefix) or suffix is None \
+                or sha256_hex(body) != suffix[1].decode("ascii"):
             raise CorruptJournal(f"snapshot hash mismatch in {best_path.name}")
+        try:
+            state = json.loads(body)
+        except ValueError as e:
+            raise CorruptJournal(f"unreadable snapshot {best_path.name}: {e}")
+        if not isinstance(state, dict):
+            raise CorruptJournal(f"malformed snapshot {best_path.name}")
         return best_seq, state
 
 

@@ -1,3 +1,4 @@
+import posixpath
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from pgzone.errors import (
     NoSuchUser,
     PermissionDenied,
 )
+from pgzone.journal import SNAPSHOT_EVERY
 
 from conftest import ADMIN, ADMIN_SECRET, add_user, make_zone
 
@@ -314,6 +316,159 @@ def test_avu_query_matches_linear_oracle():
             p for p, ts in triples.items()
             if any(all(clause_ok(t, cl) for cl in clauses) for t in ts))
         assert c.query_avu(text) == expected, text
+
+
+# ---------------------------------------------------------------------------
+# The listing and metadata indexes against a brute-force scan of state_dict()
+# ---------------------------------------------------------------------------
+
+INDEX_NAMES = ["a", "b", "c.x", "d"]
+INDEX_VALUES = ["1", "2", "12", "x/y", ""]
+
+
+def scan_listings(state):
+    """Every collection's (subcollections, objects), from one scan."""
+    listings = {coll: ([], []) for coll in state["collections"]}
+    for kind, paths in enumerate((state["collections"], state["objects"])):
+        for p in sorted(paths):
+            if p != "/":
+                listings[posixpath.dirname(p)][kind].append(p)
+    return listings
+
+
+def scan_query(state, clauses):
+    def holds(name, value, field, op, lit):
+        actual = name if field == "name" else value
+        if op == "=":
+            return actual == lit
+        if op == "!=":
+            return actual != lit
+        return glob_match(actual, lit)
+
+    return sorted(path for path, triples in state["avus"].items()
+                  if any(all(holds(n, v, *cl) for cl in clauses)
+                         for n, v, _comment in triples))
+
+
+def random_clauses(rng):
+    clauses = []
+    for _ in range(rng.randint(1, 3)):
+        field = rng.choice(["name", "value"])
+        pool = INDEX_NAMES if field == "name" else INDEX_VALUES
+        lit = rng.choice(pool + ["*", "?", "1*", "*.x", "missing"])
+        clauses.append((field, rng.choice(["=", "!=", "like"]), lit))
+    return clauses
+
+
+def check_indexes(c, rng):
+    state = c.state_dict()
+    listings = scan_listings(state)
+    for coll, listing in listings.items():
+        assert c.list_collection(coll) == listing, coll
+    # The children index holds no removed path.
+    assert {p: kids for p, kids in c._children.items() if kids} == {
+        p: set(subs + objs) for p, (subs, objs) in listings.items()
+        if subs or objs}
+    a, b = rng.sample(INDEX_NAMES, 2)
+    v = rng.choice(INDEX_VALUES)
+    predicates = [random_clauses(rng) for _ in range(3)] + [
+        [("name", "=", a), ("name", "=", b)],
+        [("name", "=", a), ("value", "=", v), ("name", "=", a)],
+    ]
+    for clauses in predicates:
+        text = " and ".join(f'{f} {op} "{lit}"' for f, op, lit in clauses)
+        assert c.query_avu(text) == scan_query(state, clauses), text
+    # The metadata index holds exactly the live pairs: no empty buckets.
+    pairs: dict[str, dict[str, set[str]]] = {}
+    for path, triples in state["avus"].items():
+        for n, v, _comment in triples:
+            pairs.setdefault(n, {}).setdefault(v, set()).add(path)
+    assert c._avu_index == pairs
+
+
+def index_step(c, rng, colls, objects, segments):
+    """One random mutation; colls, objects and segments track the zone."""
+    roll = rng.random()
+    if roll < 0.1:
+        path = f"{rng.choice(colls).rstrip('/')}/c{rng.randint(0, 9)}"
+        if not c.path_exists(path):
+            c.make_collection("admin", path)
+            colls.append(path)
+    elif roll < 0.4:
+        path = f"{rng.choice(colls).rstrip('/')}/o{rng.randint(0, 14)}"
+        put(c, path, data=rng.randbytes(4))
+        objects.add(path)
+    elif roll < 0.55 and objects:
+        path = rng.choice(sorted(objects))
+        c.remove_object(path)
+        objects.discard(path)
+    elif roll < 0.6:
+        segments.append(len(segments) + 1)
+        path = f"/s/seg-{segments[-1]:08d}.tsz"
+        t = segments[-1] * 10
+        c.ingest_segment("/s", segments[-1], path, "admin", "r1",
+                         f"ref-{path}", CS, 7, t, t + 5, 2)
+        objects.add(path)
+    else:
+        c.add_avu("admin", rng.choice(sorted(objects) + colls),
+                  rng.choice(INDEX_NAMES), rng.choice(INDEX_VALUES),
+                  rng.choice(["", "", "note"]))
+
+
+def test_indexes_match_scan_through_reopens(tmp_path):
+    rng = random.Random(7)
+    c = Catalog(tmp_path)
+    c.create_user(SYSTEM, "admin", "admin", "pw")
+    c.make_collection(SYSTEM, "/", owner="admin")
+    c.make_collection("admin", "/s", kind="stream")
+    colls, objects, segments = ["/", "/s"], set(), []
+    steps = 0
+    while steps < 100 or not list(tmp_path.glob("snapshot-*.json")):
+        index_step(c, rng, colls, objects, segments)
+        check_indexes(c, rng)
+        steps += 1
+    want = c.state_dict()
+    c.close()
+
+    again = Catalog(tmp_path)  # from the snapshot and the tail after it
+    assert again.state_dict() == want
+    check_indexes(again, rng)
+    for _ in range(40):
+        index_step(again, rng, colls, objects, segments)
+        check_indexes(again, rng)
+    want = again.state_dict()
+    records = again.records()
+    again.close()
+
+    for p in tmp_path.glob("snapshot-*.json"):
+        p.unlink()
+    from_journal = Catalog(tmp_path)  # every record applied
+    assert from_journal.state_dict() == want
+    check_indexes(from_journal, rng)
+    from_journal.close()
+
+    replayed = Catalog.replay(records)
+    assert replayed.state_dict() == want
+    check_indexes(replayed, rng)
+
+
+def test_removing_every_object_under_a_name_empties_its_buckets():
+    c = fresh_catalog()
+    c.make_collection("admin", "/d")
+    for i in range(3):
+        put(c, f"/d/o{i}")
+        c.add_avu("admin", f"/d/o{i}", "gone", f"v{i % 2}")
+        c.add_avu("admin", f"/d/o{i}", "gone", f"v{i % 2}", "a comment")
+        c.add_avu("admin", f"/d/o{i}", "kept", "v")
+    c.add_avu("admin", "/d", "kept", "v")
+    c.remove_object("/d/o0")
+    assert c.query_avu('name = "gone"') == ["/d/o1", "/d/o2"]
+    c.remove_object("/d/o1")
+    c.remove_object("/d/o2")
+    assert c.query_avu('name = "gone"') == []
+    assert c.query_avu('name like "*"') == ["/d"]
+    assert c._avu_index == {"kept": {"v": {"/d"}}}
+    assert c.list_collection("/d") == ([], [])
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,22 @@ def test_snapshot_with_audit_trail_opens_without_duplicates(tmp_path):
         again.close()
 
 
+def test_snapshot_whose_state_holds_a_state_hash_key_opens(tmp_path):
+    """A user and an ACL principal named state_hash put the text of the
+    snapshot's outer key inside its state as well; the hash check still
+    finds the outer one."""
+    c = new_catalog(tmp_path)
+    c.create_user("admin", "state_hash", "user", "pw")
+    c.make_collection("admin", "/d")
+    c.set_acl("admin", "/d", "state_hash", "read")
+    noise(c, SNAPSHOT_EVERY)
+    text = (tmp_path / f"snapshot-{SNAPSHOT_EVERY}.json").read_text()
+    assert text.count(',"state_hash":"') == 2
+    want = c.state_dict()
+    c.close()
+    assert reopened_state(tmp_path) == want
+
+
 def test_only_the_newest_two_snapshots_are_kept(tmp_path):
     c = new_catalog(tmp_path)
     noise(c, 5 * SNAPSHOT_EVERY - len(c.records()))

@@ -143,6 +143,20 @@ def test_snapshot_hash_detects_tampering(tmp_path):
     assert "hash" in str(e.value)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace('{"seq":5,', '{"seq":6,'),
+    lambda text: text[:-1] + ',"extra":1}',
+    lambda text: text + "\n",
+], ids=["seq-not-the-file-name", "extra-key", "trailing-newline"])
+def test_snapshot_in_another_layout_is_rejected(tmp_path, edit):
+    j = Journal(tmp_path)
+    j.write_snapshot(5, {"balance": 100})
+    p = tmp_path / "snapshot-5.json"
+    p.write_text(edit(p.read_text()))
+    with pytest.raises(CorruptJournal, match="hash"):
+        j.latest_snapshot()
+
+
 def test_snapshot_malformed_document(tmp_path):
     (tmp_path / "snapshot-3.json").write_text('{"not": "a snapshot"}')
     with pytest.raises(CorruptJournal):
