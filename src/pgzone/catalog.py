@@ -14,6 +14,13 @@ snapshot's seq as well as after. A snapshot that fails with an OSError is
 logged and skipped: the commit it follows stands, and the next boundary
 writes one.
 
+A snapshot reuses the serialized text of each object, triple list and
+run that has not changed since the last snapshot; a commit drops the
+text of the path it names before it applies. The bytes written are the
+same as a fresh serialization. data_state_digest() and state_dict()
+never use that text, so a stale one shows as a reopened zone whose
+digest differs from the live one.
+
 All state is kept as JSON-able dicts so snapshots, replay, and deep
 state comparison share one representation. Callers get immutable view
 dataclasses, never the internal dicts.
@@ -265,6 +272,13 @@ class AvuPredicate:
 # Catalog
 # --------------------------------------------------------------------------
 
+def _empty_memo() -> dict[str, dict[str, str]]:
+    """Snapshot text of each entry of the sections that hold most of the
+    state, by key; see Journal.write_snapshot. A run is never rewritten,
+    as record_run refuses a duplicate id, so only _commit drops texts."""
+    return {"objects": {}, "avus": {}, "runs": {}}
+
+
 def _hash_secret(secret: str, salt_hex: str | None = None) -> str:
     salt = bytes.fromhex(salt_hex) if salt_hex else os.urandom(16)
     digest = hashlib.pbkdf2_hmac(
@@ -315,6 +329,7 @@ class Catalog:
         # Derived from the above; see the module docstring.
         self._children: dict[str, set[str]] = {}
         self._avu_index: dict[str, dict[str, set[str]]] = {}
+        self._snapshot_memo = _empty_memo()
 
     # -- journal plumbing -------------------------------------------------
 
@@ -323,13 +338,21 @@ class Catalog:
         seq = self._seq + 1
         self._journal.append(
             {"seq": seq, "op": op, "args": args, "when": now_us()})
+        # Every op that changes an object or its triples names it as
+        # "path". Its snapshot text goes before the change, so that an
+        # apply that raises half way leaves none that is stale.
+        path = args.get("path")
+        if path is not None:
+            self._snapshot_memo["objects"].pop(path, None)
+            self._snapshot_memo["avus"].pop(path, None)
         self._apply(op, args, seq)
         self._seq = seq
         if seq % SNAPSHOT_EVERY == 0:
             # The commit stands without its snapshot: recovery replays a
             # longer tail, and the next boundary tries again.
             try:
-                self._journal.write_snapshot(seq, self._state())
+                self._journal.write_snapshot(seq, self._state(),
+                                             self._snapshot_memo)
             except OSError as e:
                 log.error("snapshot at seq %d not written: %s", seq, e)
 
@@ -431,6 +454,7 @@ class Catalog:
         self._stream_counters = state["stream_counters"]
         self._children = {}
         self._avu_index = {}
+        self._snapshot_memo = _empty_memo()
         for path in self._collections:
             if path != "/":
                 self._add_child(path)

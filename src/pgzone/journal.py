@@ -15,6 +15,12 @@ Layout inside the journal directory:
                        leaves its audit trail out, and rebuilds it from
                        journal.log on recovery
 
+A snapshot need not serialize the whole state afresh: the caller may
+hand over, for some sections, the serialized text of each entry, kept
+from the last snapshot for every entry that has not changed since. The
+text of the other entries is made and kept here. The bytes written are
+the same either way.
+
 A journal made without a directory keeps its lines in a list and writes
 no snapshot.
 
@@ -118,18 +124,30 @@ class Journal:
             raise
         self._end += len(line) + 1
 
-    def write_snapshot(self, seq: int, state: dict) -> Path | None:
+    def write_snapshot(self, seq: int, state: dict,
+                       memo: dict[str, dict[str, str]] | None = None
+                       ) -> Path | None:
+        """Write the snapshot of `state` as of `seq`. For each section of
+        the state that `memo` names, memo[section] maps an entry's key to
+        its text, canonical_json(key) + ":" + canonical_json(value); an
+        entry without one gets it here. The caller drops the text of an
+        entry before it changes that entry. The bytes written are the same
+        with or without a memo."""
         if self.dir is None:
             return None
-        body = canonical_json(state)
-        # canonical_json of {"seq", "state", "state_hash", "when"}, built
-        # around the one serialization of the state.
-        text = '{"seq":%d,"state":%s,"state_hash":"%s","when":%d}' % (
-            seq, body, sha256_hex(body.encode("utf-8")), now_us())
+        body = (canonical_json(state) if memo is None
+                else _memoized_json(state, memo)).encode("ascii")
         target = self.dir / f"snapshot-{seq}.json"
         tmp = target.with_suffix(".tmp")
         try:
-            tmp.write_text(text, encoding="utf-8")
+            # canonical_json of {"seq", "state", "state_hash", "when"},
+            # written around the one serialization of the state, which is
+            # never copied into a larger string.
+            with open(tmp, "wb") as f:
+                f.write(b'{"seq":%d,"state":' % seq)
+                f.write(body)
+                f.write(b',"state_hash":"%s","when":%d}' % (
+                    sha256_hex(body).encode("ascii"), now_us()))
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -212,6 +230,28 @@ class Journal:
         if not isinstance(state, dict):
             raise CorruptJournal(f"malformed snapshot {best_path.name}")
         return best_seq, state
+
+
+def _memoized_json(state: dict, memo: dict[str, dict[str, str]]) -> str:
+    """canonical_json(state), with each section that memo names joined
+    from its entries' texts, sorted by key as json.dumps sorts them.
+    Nothing is added to a large string: each copy of one costs."""
+    parts = ["{"]
+    for name in sorted(state):
+        if len(parts) > 1:
+            parts.append(",")
+        parts.append(canonical_json(name) + ":")
+        section, texts = state[name], memo.get(name)
+        if texts is None:
+            parts.append(canonical_json(section))
+            continue
+        for key in section.keys() - texts.keys():
+            texts[key] = canonical_json(key) + ":" + \
+                canonical_json(section[key])
+        parts += ["{", ",".join([texts[key] for key in sorted(section)]),
+                  "}"]
+    parts.append("}")
+    return "".join(parts)
 
 
 def _parse_at_once(lines: list[bytes]) -> list[dict] | None:

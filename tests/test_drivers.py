@@ -1,7 +1,9 @@
+import os
 import re
 
 import pytest
 
+import pgzone.drivers as drivers_mod
 from pgzone.drivers import (
     ArchiveDriver,
     DriverRegistry,
@@ -142,6 +144,43 @@ def test_localfs_unlink_missing(tmp_path):
     driver = LocalFsDriver()
     with pytest.raises(NoSuchRef):
         driver.unlink(str(tmp_path / "nope" / "file"))
+
+
+def test_localfs_store_opens_once_and_makes_a_missing_directory(
+        tmp_path, monkeypatch):
+    calls = []
+    real_open, real_makedirs = open, os.makedirs
+
+    def counting_open(path, *args, **kwargs):
+        calls.append(("open", os.path.basename(path)))
+        return real_open(path, *args, **kwargs)
+
+    def counting_makedirs(path, exist_ok=False):
+        calls.append(("makedirs", os.path.basename(path)))
+        real_makedirs(path, exist_ok=exist_ok)
+
+    (tmp_path / "blobs").mkdir()
+    monkeypatch.setattr(drivers_mod, "open", counting_open, raising=False)
+    monkeypatch.setattr(drivers_mod.os, "makedirs", counting_makedirs)
+    driver = LocalFsDriver()
+    driver.store(str(tmp_path / "blobs" / "ab" / "ab01"), b"one")
+    # The first open finds the fresh two-hex directory missing.
+    assert calls == [("open", "ab01"), ("makedirs", "ab"), ("open", "ab01")]
+    del calls[:]
+    driver.store(str(tmp_path / "blobs" / "ab" / "ab02"), b"two")
+    assert calls == [("open", "ab02")]
+    monkeypatch.undo()
+    assert driver.read_all(str(tmp_path / "blobs" / "ab" / "ab01")) == b"one"
+    assert driver.read_all(str(tmp_path / "blobs" / "ab" / "ab02")) == b"two"
+
+
+def test_localfs_store_onto_existing_ref_fails(tmp_path):
+    driver = LocalFsDriver()
+    ref = driver.new_ref(str(tmp_path))
+    driver.store(ref, b"first")
+    with pytest.raises(DriverError):
+        driver.store(ref, b"second")
+    assert driver.read_all(ref) == b"first"
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,22 @@
 next append, a failed append changes nothing, a failed snapshot fails no
 commit and deletes nothing, only the newest two snapshots are kept, and
 recovery reproduces the live state exactly, down to the order of each
-path's metadata triples and the audit trail a snapshot leaves out.
+path's metadata triples and the audit trail a snapshot leaves out, and
+a snapshot built from the texts it kept of unchanged entries holds the
+same bytes as one serialized afresh.
 """
 
 import errno
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import pgzone.catalog as catalog_mod
 import pgzone.journal as journal_mod
-from pgzone.catalog import Catalog
+from pgzone.catalog import REPLICA_STATUSES, Catalog
 from pgzone.common import SYSTEM, sha256_hex
 from pgzone.journal import JOURNAL_NAME, SNAPSHOT_EVERY, canonical_json
 from pgzone.zone import Zone
@@ -296,4 +301,174 @@ def test_snapshot_that_cannot_be_pruned_is_pruned_later(tmp_path,
     noise(c, SNAPSHOT_EVERY)
     assert snapshot_names(tmp_path) == [
         "snapshot-3000.json", "snapshot-4000.json"]
+    c.close()
+
+
+# ---------------------------------------------------------------------------
+# Snapshot texts kept across snapshots: the oracle is canonical_json of the
+# live state, serialized afresh at each boundary.
+# ---------------------------------------------------------------------------
+
+def snapshot_body(path, seq):
+    data = path.read_bytes()
+    prefix = b'{"seq":%d,"state":' % seq
+    assert data.startswith(prefix)
+    return data[len(prefix):data.rfind(b',"state_hash":"')]
+
+
+def digest_of(state):
+    rest = {k: v for k, v in state.items() if k != "last_seq"}
+    return sha256_hex(canonical_json(rest).encode("utf-8"))
+
+
+@pytest.fixture
+def checked_snapshots(monkeypatch):
+    """Snapshot every 7 commits; check each one written against the
+    state it was handed, and reopen the zone from it. Returns the seqs of
+    the checked snapshots and a switch that fails the next os.replace."""
+    monkeypatch.setattr(catalog_mod, "SNAPSHOT_EVERY", 7)
+    real_write, real_replace = journal_mod.Journal.write_snapshot, \
+        journal_mod.os.replace
+    checked, fail_next = [], []
+
+    def checking(self, seq, state, memo=None):
+        assert memo is not None
+        target = real_write(self, seq, state, memo)
+        assert snapshot_body(target, seq) == canonical_json(state).encode()
+        # A text for each entry, and none kept for an entry that is gone.
+        for name, texts in memo.items():
+            assert texts.keys() == state[name].keys()
+        again = Catalog(self.dir)
+        try:
+            assert again.data_state_digest() == digest_of(state)
+        finally:
+            again.close()
+        checked.append(seq)
+        return target
+
+    def replace(*args):
+        if fail_next:
+            fail_next.clear()
+            enospc()
+        real_replace(*args)
+
+    monkeypatch.setattr(journal_mod.Journal, "write_snapshot", checking)
+    monkeypatch.setattr(journal_mod.os, "replace", replace)
+    return checked, fail_next
+
+
+def random_ops(c, rng, n, hits, serial):
+    """n seeded catalog mutations over a small set of paths, so that most
+    of them change an entry whose text a snapshot already kept; hits
+    counts those per kind. serial numbers the refs and runs."""
+    objects = [f"/d/o{i}" for i in range(12)]
+    segments = [f"/d/s/seg{i}" for i in range(4)]
+    for k in itertools.islice(serial, n):
+        live = [p for p in objects + segments if c.object_exists(p)]
+        kind = rng.choice(["put", "put", "replica.add", "replica.status",
+                           "acl.set", "avu.add", "remove", "ingest", "run"])
+        if kind in ("replica.add", "replica.status", "remove") and not live:
+            kind = "put"
+        path = rng.choice({"put": objects, "ingest": segments,
+                           "acl.set": live + ["/d", "/d/s"],
+                           "avu.add": live + ["/d"],
+                           "run": [None]}.get(kind, live))
+        memo = c._snapshot_memo
+        if path in memo["objects"] or path in memo["avus"]:
+            hits[kind] = hits.get(kind, 0) + 1
+        data = b"v%d" % k
+        if kind == "put":
+            c.put_object(path, "admin", "r0", f"ref{k}", sha256_hex(data),
+                         len(data))
+        elif kind == "replica.add":
+            obj = c.get_object(path)
+            c.add_replica(path, f"r{len(obj.replicas)}", f"ref{k}",
+                          obj.checksum, obj.replicas[0].size,
+                          rng.choice(REPLICA_STATUSES))
+        elif kind == "replica.status":
+            replica = rng.choice(c.get_object(path).replicas)
+            c.set_replica_status(path, replica.physical_ref,
+                                 rng.choice(REPLICA_STATUSES))
+        elif kind == "acl.set":
+            c.set_acl("admin", path, "u1", rng.choice(["read", "write"]))
+        elif kind == "avu.add":  # few distinct triples, so some repeat
+            c.add_avu("admin", path, rng.choice("abc"), rng.choice("xy"))
+        elif kind == "remove":
+            c.remove_object(path)
+            c.put_object(path, "admin", "r0", f"ref{k}", sha256_hex(data),
+                         len(data))
+        elif kind == "ingest":
+            c.ingest_segment("/d/s", c.next_segment_id("/d/s"), path,
+                             "admin", "r0", f"ref{k}", sha256_hex(data),
+                             len(data), k, k + rng.randrange(5), 3)
+        else:
+            c.record_run({"run_id": f"run{k}", "inputs": [k], "ok": True})
+
+
+def test_every_snapshot_is_the_canonical_json_of_the_live_state(
+        tmp_path, checked_snapshots):
+    checked, fail_next = checked_snapshots
+    rng, hits, serial = random.Random(8), {}, itertools.count(1)
+    c = new_catalog(tmp_path)
+    c.create_user("admin", "u1", "user", "pw")
+    c.make_collection("admin", "/d")
+    c.make_collection("admin", "/d/s", kind="stream")
+    random_ops(c, rng, 300, hits, serial)
+    assert len(checked) > 40
+
+    # A reopen from a snapshot starts with no texts kept.
+    digest = c.data_state_digest()
+    c.close()
+    c = Catalog(tmp_path)
+    assert c.data_state_digest() == digest
+    assert c._snapshot_memo == {"objects": {}, "avus": {}, "runs": {}}
+    before = len(checked)
+    random_ops(c, rng, 200, hits, serial)
+    assert len(checked) > before + 30
+
+    # A snapshot that fails keeps the texts it filled in; the next ones
+    # must still be exact.
+    fail_next.append(True)
+    before = len(checked)
+    random_ops(c, rng, 10, hits, serial)
+    assert not fail_next
+    random_ops(c, rng, 200, hits, serial)
+    assert len(checked) > before + 30
+    assert all(hits.get(kind, 0) >= 5 for kind in (
+        "put", "replica.add", "replica.status", "acl.set", "avu.add",
+        "remove", "ingest")), hits
+
+    digest = c.data_state_digest()
+    c.close()
+    again = Catalog(tmp_path)
+    try:
+        assert again.data_state_digest() == digest
+    finally:
+        again.close()
+
+
+def test_apply_that_raises_leaves_no_stale_snapshot_text(tmp_path,
+                                                        monkeypatch):
+    """An apply that fails after it changed an entry has still dropped the
+    text a snapshot kept of it, so the next snapshot holds the entry as
+    it is."""
+    monkeypatch.setattr(catalog_mod, "SNAPSHOT_EVERY", 7)
+    c = new_catalog(tmp_path)
+    c.make_collection("admin", "/d")
+    c.put_object("/d/o", "admin", "r0", "ref", sha256_hex(b"x"), 1)
+    c.add_avu("admin", "/d/o", "a", "1")
+    noise(c, 7)
+    assert "/d/o" in c._snapshot_memo["avus"]
+
+    def broken(*args):
+        raise MemoryError("index update failed")
+
+    with monkeypatch.context() as m:
+        m.setattr(Catalog, "_index_avu", broken)
+        with pytest.raises(MemoryError):
+            c.add_avu("admin", "/d/o", "b", "2")
+    assert [t.attr_name for t in c.avus("/d/o")] == ["a", "b"]
+    state = c._state()
+    target = c._journal.write_snapshot(c._seq, state, c._snapshot_memo)
+    assert snapshot_body(target, c._seq) == canonical_json(state).encode()
     c.close()

@@ -112,6 +112,25 @@ def test_snapshot_round_trip(tmp_path):
     assert seq == 42 and got == state
 
 
+def test_snapshot_from_kept_texts_has_the_same_bytes(tmp_path):
+    """Keys that need escaping, sort differently by code point, or are no
+    longer in the state; a kept text is used as it is."""
+    state = {"objects": {"/b\u00e9": {"x": [1, "\"q\\"]}, "/a": {},
+                         "/A\n": None, "/\u4e2d": 2},
+             "avus": {}, "runs": {"r\u00ff": {"k": [None, True]}},
+             "users": {"z": 1, "a": 2}, "last_seq": 3}
+    memo = {"objects": {"/gone": '"/gone":1'}, "avus": {}, "runs": {}}
+    j = Journal(tmp_path)
+    want = canonical_json(state).encode()
+    for seq in (1, 2):
+        text = j.write_snapshot(seq, state, memo).read_bytes()
+        assert text[len(b'{"seq":%d,"state":' % seq):].startswith(
+            want + b',"state_hash":"')
+        assert j.latest_snapshot() == (seq, state)
+    assert set(memo["objects"]) == set(state["objects"]) | {"/gone"}
+    assert memo["runs"] == {"r\u00ff": '"r\\u00ff":{"k":[null,true]}'}
+
+
 def test_snapshot_file_is_canonical_json(tmp_path):
     state = {"users": {"u": {"role": "user", "groups": ["g"]}},
              "note": "caf\u00e9 \"q\"", "n": 7}
