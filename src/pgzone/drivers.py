@@ -24,7 +24,6 @@ import random
 import threading
 import uuid
 from dataclasses import dataclass, field
-from typing import BinaryIO
 
 from .common import now_us
 from .errors import BadHandle, DriverError, DuplicateName, NoSuchRef, Unsupported, UnknownDriver
@@ -167,24 +166,19 @@ class ArchiveDriver(MemDriver):
 class LocalFsDriver(Driver):
     """Filesystem driver; a ref is a real path <root>/<two-hex>/<uuid>."""
 
-    def _new_file(self, ref: str) -> BinaryIO:
-        """Open a new file at ref for writing. Its directory is made only
-        when the open finds it missing, and the open is then retried once."""
+    def create(self, ref: str) -> None:
+        # The two-hex directory is made only when the create finds it
+        # missing, and the create is then retried once.
+        flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
         try:
             try:
-                return open(ref, "xb")
+                fd = os.open(ref, flags)
             except FileNotFoundError:
                 os.makedirs(os.path.dirname(ref), exist_ok=True)
-                return open(ref, "xb")
+                fd = os.open(ref, flags)
         except FileExistsError:
             raise DriverError(f"ref already exists: {ref!r}") from None
-
-    def create(self, ref: str) -> None:
-        self._new_file(ref).close()
-
-    def store(self, ref: str, data: bytes) -> None:
-        with self._new_file(ref) as f:
-            f.write(data)
+        os.close(fd)
 
     def open(self, ref: str) -> Handle:
         if not os.path.isfile(ref):

@@ -135,8 +135,7 @@ class Journal:
         with or without a memo."""
         if self.dir is None:
             return None
-        body = (canonical_json(state) if memo is None
-                else _memoized_json(state, memo)).encode("ascii")
+        body = _memoized_json(state, memo or {}).encode("ascii")
         target = self.dir / f"snapshot-{seq}.json"
         tmp = target.with_suffix(".tmp")
         try:

@@ -146,29 +146,22 @@ def test_localfs_unlink_missing(tmp_path):
         driver.unlink(str(tmp_path / "nope" / "file"))
 
 
-def test_localfs_store_opens_once_and_makes_a_missing_directory(
-        tmp_path, monkeypatch):
-    calls = []
-    real_open, real_makedirs = open, os.makedirs
-
-    def counting_open(path, *args, **kwargs):
-        calls.append(("open", os.path.basename(path)))
-        return real_open(path, *args, **kwargs)
+def test_localfs_store_makes_a_missing_directory_once(tmp_path, monkeypatch):
+    made = []
+    real_makedirs = os.makedirs
 
     def counting_makedirs(path, exist_ok=False):
-        calls.append(("makedirs", os.path.basename(path)))
+        made.append(os.path.basename(path))
         real_makedirs(path, exist_ok=exist_ok)
 
     (tmp_path / "blobs").mkdir()
-    monkeypatch.setattr(drivers_mod, "open", counting_open, raising=False)
     monkeypatch.setattr(drivers_mod.os, "makedirs", counting_makedirs)
     driver = LocalFsDriver()
+    # The first store finds the fresh two-hex directory missing.
     driver.store(str(tmp_path / "blobs" / "ab" / "ab01"), b"one")
-    # The first open finds the fresh two-hex directory missing.
-    assert calls == [("open", "ab01"), ("makedirs", "ab"), ("open", "ab01")]
-    del calls[:]
+    assert made == ["ab"]
     driver.store(str(tmp_path / "blobs" / "ab" / "ab02"), b"two")
-    assert calls == [("open", "ab02")]
+    assert made == ["ab"]
     monkeypatch.undo()
     assert driver.read_all(str(tmp_path / "blobs" / "ab" / "ab01")) == b"one"
     assert driver.read_all(str(tmp_path / "blobs" / "ab" / "ab02")) == b"two"
