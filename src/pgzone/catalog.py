@@ -6,13 +6,12 @@ as one record, and only then applied to in-memory state, so a failed
 append changes nothing. The journal is the only record of the commits:
 records() reads it back. Replaying records 1..k from an empty catalog
 reproduces the state after the k-th mutation exactly. A snapshot of the
-state, without the audit trail, is written every SNAPSHOT_EVERY
-mutations, and the journal keeps only the newest two. Recovery loads the
-latest snapshot, replays the records after it, and rebuilds the audit
-trail from every audit.append record in the journal, before the
-snapshot's seq as well as after. A snapshot that fails with an OSError is
-logged and skipped: the commit it follows stands, and the next boundary
-writes one.
+state is written every SNAPSHOT_EVERY mutations, and the journal keeps
+only the newest two. Recovery loads the latest snapshot and applies only
+the records after it. A snapshot that fails with an OSError is logged
+and skipped: the commit it follows stands, and the next boundary writes
+one. The audit trail is never held in memory: audit_query() and
+state_dict() read the audit.append records from the journal.
 
 A snapshot reuses the serialized text of each object, triple list and
 run that has not changed since the last snapshot; a commit drops the
@@ -325,7 +324,6 @@ class Catalog:
         self._runs: dict[str, dict] = {}
         self._orphans: list[dict] = []
         self._stream_counters: dict[str, int] = {}
-        self._audit: list[dict] = []
         # Derived from the above; see the module docstring.
         self._children: dict[str, set[str]] = {}
         self._avu_index: dict[str, dict[str, set[str]]] = {}
@@ -338,6 +336,9 @@ class Catalog:
         seq = self._seq + 1
         self._journal.append(
             {"seq": seq, "op": op, "args": args, "when": now_us()})
+        # The record is journaled, so its seq is taken even if the apply
+        # below raises: the next commit must not reuse it.
+        self._seq = seq
         # Every op that changes an object or its triples names it as
         # "path". Its snapshot text goes before the change, so that an
         # apply that raises half way leaves none that is stale.
@@ -346,7 +347,6 @@ class Catalog:
             self._snapshot_memo["objects"].pop(path, None)
             self._snapshot_memo["avus"].pop(path, None)
         self._apply(op, args, seq)
-        self._seq = seq
         if seq % SNAPSHOT_EVERY == 0:
             # The commit stands without its snapshot: recovery replays a
             # longer tail, and the next boundary tries again.
@@ -358,8 +358,7 @@ class Catalog:
 
     def _recover(self) -> None:
         """The one replay loop: load the latest snapshot, then apply the
-        journal records after it and every audit.append record, since a
-        snapshot holds no audit trail. Seqs must run 1..n."""
+        journal records after it. Seqs must run 1..n."""
         records = self._journal.read_records()
         start = 0
         snap = self._journal.latest_snapshot()
@@ -374,7 +373,7 @@ class Catalog:
             if rec["seq"] != seq:
                 raise CorruptJournal(
                     f"sequence gap: record {seq} has seq {rec['seq']}")
-            if seq <= start and rec["op"] != "audit.append":
+            if seq <= start:
                 continue
             try:
                 self._apply(rec["op"], rec["args"], seq)
@@ -426,7 +425,7 @@ class Catalog:
         """Full state as a JSON-able tree; the caller owns it."""
         with self._lock:
             state = self._state()
-            state["audit"] = self._audit
+            state["audit"] = self._audit_trail()
             return json.loads(json.dumps(state))
 
     def data_state_digest(self) -> str:
@@ -439,7 +438,7 @@ class Catalog:
 
     def _load_state(self, state: dict) -> None:
         """Adopt a snapshot's state. An "audit" key, which snapshots once
-        held, is ignored: _recover rebuilds the trail from the journal."""
+        held, is ignored: the trail is read from the journal."""
         self._seq = state["last_seq"]
         self._users = state["users"]
         self._resources = state["resources"]
@@ -533,10 +532,7 @@ class Catalog:
                 "name": name, "role": role,
                 "secret_hash": _hash_secret(secret), "groups": [],
             })
-            self._commit("audit.append", {
-                "actor": caller, "event": "user.create", "detail": name,
-                "when": now_us(),
-            })
+            self.audit_append(caller, "user.create", name)
         return name
 
     def add_user_to_group(self, caller: str, user: str, group: str) -> None:
@@ -550,10 +546,7 @@ class Catalog:
             if group in record["groups"]:
                 return
             self._commit("user.group_add", {"user": user, "group": group})
-            self._commit("audit.append", {
-                "actor": caller, "event": "user.group_add",
-                "detail": f"{user}+{group}", "when": now_us(),
-            })
+            self.audit_append(caller, "user.group_add", f"{user}+{group}")
 
     def get_user(self, name: str) -> UserView:
         with self._lock:
@@ -597,10 +590,7 @@ class Catalog:
                 "name": name, "driver_name": driver_name,
                 "root": root, "kind": kind,
             })
-            self._commit("audit.append", {
-                "actor": caller, "event": "resource.register",
-                "detail": name, "when": now_us(),
-            })
+            self.audit_append(caller, "resource.register", name)
         return name
 
     def get_resource(self, name: str) -> ResourceView:
@@ -688,10 +678,8 @@ class Catalog:
             self._commit("acl.set", {
                 "path": path, "principal": principal, "perm": perm,
             })
-            self._commit("audit.append", {
-                "actor": caller, "event": "acl.set",
-                "detail": f"{path} {principal}={perm}", "when": now_us(),
-            })
+            self.audit_append(caller, "acl.set",
+                              f"{path} {principal}={perm}")
 
     # -- metadata -------------------------------------------------------------
 
@@ -763,18 +751,18 @@ class Catalog:
                     actor: str | None = None) -> list[AuditEntry]:
         with self._lock:
             self._require_admin(caller)
-            out = []
-            for e in self._audit:
-                if t_lo is not None and e["when"] < t_lo:
-                    continue
-                if t_hi is not None and e["when"] >= t_hi:
-                    continue
-                if event is not None and e["event"] != event:
-                    continue
-                if actor is not None and e["actor"] != actor:
-                    continue
-                out.append(AuditEntry(**e))
-            return out
+            trail = self._audit_trail()
+        return [AuditEntry(**e) for e in trail
+                if (t_lo is None or e["when"] >= t_lo)
+                and (t_hi is None or e["when"] < t_hi)
+                and (event is None or e["event"] == event)
+                and (actor is None or e["actor"] == actor)]
+
+    def _audit_trail(self) -> list[dict]:
+        """Every audit entry, read from the journal. Caller holds lock."""
+        return [self._apply_audit_append(rec["args"], rec["seq"])
+                for rec in self._journal.read_records()
+                if rec["op"] == "audit.append"]
 
     # -- objects (engine-mediated: authorization happens in the engine) ----
 
@@ -1101,11 +1089,11 @@ class Catalog:
                 {"path": a["path"], "name": name, "value": value,
                  "comment": ""}, seq)
 
-    def _apply_audit_append(self, a: dict, seq: int) -> None:
-        self._audit.append({
-            "seq": seq, "when": a["when"], "actor": a["actor"],
-            "event": a["event"], "detail": a["detail"],
-        })
+    def _apply_audit_append(self, a: dict, seq: int) -> dict:
+        """The record's audit entry, kept nowhere: _audit_trail reads the
+        trail from the journal. A malformed record fails a replay here."""
+        return {"seq": seq, "when": a["when"], "actor": a["actor"],
+                "event": a["event"], "detail": a["detail"]}
 
 
 _APPLY = {

@@ -25,7 +25,6 @@ import threading
 import uuid
 from dataclasses import dataclass, field
 
-from .common import now_us
 from .errors import BadHandle, DriverError, DuplicateName, NoSuchRef, Unsupported, UnknownDriver
 
 
@@ -232,7 +231,6 @@ class DriverRegistry:
 
     def __init__(self):
         self._drivers: dict[str, Driver] = {}
-        self._log: list[tuple[int, str]] = []
         self._lock = threading.Lock()
 
     def register(self, name: str, driver: Driver) -> None:
@@ -240,7 +238,6 @@ class DriverRegistry:
             if name in self._drivers:
                 raise DuplicateName(f"driver {name!r} already registered")
             self._drivers[name] = driver
-            self._log.append((now_us(), name))
 
     def get(self, name: str) -> Driver:
         with self._lock:
@@ -252,10 +249,6 @@ class DriverRegistry:
     def names(self) -> tuple[str, ...]:
         with self._lock:
             return tuple(sorted(self._drivers))
-
-    def log(self) -> tuple[tuple[int, str], ...]:
-        with self._lock:
-            return tuple(self._log)
 
 
 def builtin_registry() -> DriverRegistry:

@@ -11,9 +11,9 @@ Layout inside the journal directory:
   snapshot-<seq>.json  {"seq":S,"state":BODY,"state_hash":H,"when":W}
                        with BODY the canonical JSON of the state the
                        caller hands over as of seq S, and H its sha256,
-                       checked over BODY's bytes as read; the catalog
-                       leaves its audit trail out, and rebuilds it from
-                       journal.log on recovery
+                       checked over BODY's bytes as read; it holds no
+                       audit trail, whose only copy is the audit.append
+                       records of journal.log
 
 A snapshot need not serialize the whole state afresh: the caller may
 hand over, for some sections, the serialized text of each entry, kept
@@ -24,7 +24,8 @@ the same either way.
 A journal made without a directory keeps its lines in a list and writes
 no snapshot.
 
-Recovery is latest snapshot plus tail replay. The whole journal is parsed
+Recovery is latest snapshot plus tail replay: the catalog applies only
+the records after the snapshot's seq. The whole journal is parsed
 with one json.loads; only when that fails does a per-line parse find the
 fault. A torn final line (the mark of a crash mid-append: it lacks its
 newline or does not parse) is dropped and cut off before the next append;

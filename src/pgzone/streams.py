@@ -10,7 +10,8 @@ Timestamps inside a segment must be non-decreasing and a segment must
 hold at least one record. Segments land as ordinary data objects named
 seg-<n>.tsz inside the collection, tagged with stream.t_min and
 stream.t_max so metadata queries can find them; the in-memory interval
-index is a cache rebuilt from segment bytes whenever it is missing.
+index is a cache rebuilt from segment bytes whenever it is missing, or
+once when it names a segment that has since been removed.
 
 Queries are half-open [t_lo, t_hi); the global record order is
 (timestamp, segment id, position in segment), so replaying overlapping
@@ -22,12 +23,14 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass
+from typing import Iterator
 
 from .common import SYSTEM
 from .engine import Engine
 from .errors import (
     BadFraming,
     BadInterval,
+    NoSuchObject,
     NotAStreamCollection,
     TimestampsDecreasing,
 )
@@ -181,7 +184,17 @@ class Streams:
         if t_lo > t_hi:
             raise BadInterval(f"empty-crossing interval [{t_lo}, {t_hi})")
         self.catalog.require_access(coll, actor, "read")
-        hits: list[tuple[int, int, int, bytes]] = []
+        try:
+            hits = sorted(self._hits(coll, t_lo, t_hi))
+        except NoSuchObject:  # a segment was removed since the index was built
+            self.drop_index(coll)
+            hits = sorted(self._hits(coll, t_lo, t_hi))
+        return [(t, payload) for t, _sid, _idx, payload in hits]
+
+    def _hits(self, coll: str, t_lo: int,
+              t_hi: int) -> Iterator[tuple[int, int, int, bytes]]:
+        """(t, segment id, position, payload) of each record in range;
+        the first three are unique, so a sort never compares payloads."""
         for entry in self._entries(coll):
             if entry.t_max < t_lo or entry.t_min >= t_hi:
                 continue
@@ -189,9 +202,7 @@ class Streams:
                 self.engine.read_object(SYSTEM, entry.path))
             for idx, (t, payload) in enumerate(records):
                 if t_lo <= t < t_hi:
-                    hits.append((t, entry.segment_id, idx, payload))
-        hits.sort(key=lambda h: (h[0], h[1], h[2]))
-        return [(t, payload) for t, _sid, _idx, payload in hits]
+                    yield t, entry.segment_id, idx, payload
 
     def read_framed(self, actor: str, coll: str, t_lo: int,
                     t_hi: int) -> bytes:
@@ -201,6 +212,9 @@ class Streams:
         self._stream_coll(coll)
         self.catalog.require_access(coll, actor, "read")
         entries = self._entries(coll)
+        _subcolls, objects = self.catalog.list_collection(coll)
+        if not set(objects).issuperset(e.path for e in entries):
+            entries = self._rebuild(coll)  # it names a removed segment
         if not entries:
             return {"segments": 0, "records": 0, "t_min": None,
                     "t_max": None}

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pgzone.catalog import AvuPredicate, Catalog, validate_path
+from pgzone.catalog import AuditEntry, AvuPredicate, Catalog, validate_path
 from pgzone.common import SYSTEM, glob_match, sha256_hex
 from pgzone.errors import (
     ChecksumMismatch,
@@ -386,6 +386,13 @@ def check_indexes(c, rng):
     assert c._avu_index == pairs
 
 
+def check_audit(c):
+    """The audit trail is exactly the journal's audit.append records."""
+    assert c.audit_query("admin") == [
+        AuditEntry(seq=r["seq"], **r["args"])
+        for r in c.records() if r["op"] == "audit.append"]
+
+
 def index_step(c, rng, colls, objects, segments):
     """One random mutation; colls, objects and segments track the zone."""
     roll = rng.random()
@@ -433,6 +440,7 @@ def test_indexes_match_scan_through_reopens(tmp_path):
     again = Catalog(tmp_path)  # from the snapshot and the tail after it
     assert again.state_dict() == want
     check_indexes(again, rng)
+    check_audit(again)
     for _ in range(40):
         index_step(again, rng, colls, objects, segments)
         check_indexes(again, rng)
@@ -445,11 +453,13 @@ def test_indexes_match_scan_through_reopens(tmp_path):
     from_journal = Catalog(tmp_path)  # every record applied
     assert from_journal.state_dict() == want
     check_indexes(from_journal, rng)
+    check_audit(from_journal)
     from_journal.close()
 
     replayed = Catalog.replay(records)
     assert replayed.state_dict() == want
     check_indexes(replayed, rng)
+    check_audit(replayed)
 
 
 def test_removing_every_object_under_a_name_empties_its_buckets():
@@ -554,6 +564,7 @@ def test_replay_reproduces_state(tmp_path, rng, journaled):
         random_session(c, rng)
     rebuilt = Catalog.replay(c.records())
     assert rebuilt.state_dict() == c.state_dict()
+    c.close()
 
 
 def test_replay_rejects_sequence_gap():

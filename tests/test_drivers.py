@@ -195,13 +195,6 @@ def test_registry_duplicate_and_unknown():
         reg.get("b")
 
 
-def test_registry_mutation_log():
-    reg = DriverRegistry()
-    reg.register("x", MemDriver())
-    reg.register("y", MemDriver())
-    assert [name for _t, name in reg.log()] == ["x", "y"]
-
-
 # ---------------------------------------------------------------------------
 # Conformance suite over every built-in plus the fault wrapper baseline
 # ---------------------------------------------------------------------------

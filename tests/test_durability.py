@@ -2,8 +2,9 @@
 next append, a failed append changes nothing, a failed snapshot fails no
 commit and deletes nothing, only the newest two snapshots are kept, and
 recovery reproduces the live state exactly, down to the order of each
-path's metadata triples and the audit trail a snapshot leaves out, and
-a snapshot built from the texts it kept of unchanged entries holds the
+path's metadata triples and the audit trail a snapshot leaves out,
+while it applies only the records after the snapshot, and a snapshot
+built from the texts it kept of unchanged entries holds the
 same bytes as one serialized afresh.
 """
 
@@ -471,4 +472,38 @@ def test_apply_that_raises_leaves_no_stale_snapshot_text(tmp_path,
     state = c._state()
     target = c._journal.write_snapshot(c._seq, state, c._snapshot_memo)
     assert snapshot_body(target, c._seq) == canonical_json(state).encode()
+
+    # The failed apply's record is journaled, so its seq is taken: the
+    # next commit gets the one after it, and the journal reopens.
+    c.add_avu("admin", "/d/o", "c", "3")
+    replayed = Catalog.replay(c.records()).state_dict()
     c.close()
+    assert reopened_state(tmp_path) == replayed
+
+
+def test_reopen_applies_only_the_records_after_the_snapshot(tmp_path,
+                                                            monkeypatch):
+    c = new_catalog(tmp_path)
+    c.make_collection("admin", "/d")
+    noise(c, SNAPSHOT_EVERY + 5)
+    c.add_avu("admin", "/d", "a", "1")
+    total = len(c.records())
+    want = c.state_dict()
+    c.close()
+    assert snapshot_names(tmp_path) == [f"snapshot-{SNAPSHOT_EVERY}.json"]
+
+    applied = []
+    real_apply = Catalog._apply
+
+    def counting(self, op, args, seq):
+        applied.append(seq)
+        real_apply(self, op, args, seq)
+
+    monkeypatch.setattr(Catalog, "_apply", counting)
+    again = Catalog(tmp_path)
+    monkeypatch.undo()
+    try:
+        assert applied == list(range(SNAPSHOT_EVERY + 1, total + 1))
+        assert again.state_dict() == want
+    finally:
+        again.close()

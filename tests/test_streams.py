@@ -192,18 +192,33 @@ def test_stat_aggregates(zone):
 def test_index_rebuilds_from_segment_bytes(zone, rng):
     coll = make_stream(zone)
     want = []
+    segments = []
     t = 0
     for _ in range(8):
         recs = []
         for _ in range(rng.randint(1, 5)):
             t += rng.randint(0, 4)
             recs.append((t, rng.randbytes(rng.randint(0, 16))))
-        zone.streams.ingest(ADMIN, coll, pack_records(recs))
+        segments.append(zone.streams.ingest(ADMIN, coll, pack_records(recs)))
         want.extend(recs)
     full_before = zone.streams.read(ADMIN, coll, 0, t + 1)
     zone.streams.drop_index()
     assert zone.streams.read(ADMIN, coll, 0, t + 1) == full_before
     assert sorted(full_before) == sorted(want)
+
+    # A removed segment leaves live reads and stat as a rebuild from the
+    # remaining segments' bytes has them, whichever of the two comes first.
+    for segment, stat_first in ((segments[0], False), (segments[1], True)):
+        zone.engine.remove(ADMIN, segment.path)
+        if stat_first:
+            stat = zone.streams.stat(ADMIN, coll)
+        live = zone.streams.read(ADMIN, coll, 0, t + 1)
+        if not stat_first:
+            stat = zone.streams.stat(ADMIN, coll)
+        zone.streams.drop_index()
+        assert live == zone.streams.read(ADMIN, coll, 0, t + 1)
+        assert stat == zone.streams.stat(ADMIN, coll)
+        assert stat["segments"] == len(zone.catalog.list_collection(coll)[1])
 
 
 def test_index_survives_restart_of_zone(tmp_path):
