@@ -7,11 +7,16 @@ append changes nothing. The journal is the only record of the commits:
 records() reads it back. Replaying records 1..k from an empty catalog
 reproduces the state after the k-th mutation exactly. A snapshot of the
 state is written every SNAPSHOT_EVERY mutations, and the journal keeps
-only the newest two. Recovery loads the latest snapshot and applies only
-the records after it. A snapshot that fails with an OSError is logged
-and skipped: the commit it follows stands, and the next boundary writes
-one. The audit trail is never held in memory: audit_query() and
-state_dict() read the audit.append records from the journal.
+only the newest two. Recovery loads the latest snapshot, then parses
+and applies only the journal records after it. Damage to a record the
+snapshot covers therefore does not fail the open: a malformed one
+raises CorruptJournal when records(), audit_query() or state_dict()
+parse the whole journal, and a seq out of order when
+Catalog.replay(records()) checks the seqs. A snapshot that fails with
+an OSError is logged and skipped: the commit it follows stands, and the
+next boundary writes one. The audit trail is never held in memory:
+audit_query() and state_dict() read the audit.append records from the
+journal.
 
 A snapshot reuses the serialized text of each object, triple list and
 run that has not changed since the last snapshot; a commit drops the
@@ -357,30 +362,25 @@ class Catalog:
                 log.error("snapshot at seq %d not written: %s", seq, e)
 
     def _recover(self) -> None:
-        """The one replay loop: load the latest snapshot, then apply the
-        journal records after it. Seqs must run 1..n."""
-        records = self._journal.read_records()
+        """The one replay loop: load the latest snapshot, then parse and
+        apply only the journal records after its seq S, which must run
+        S+1..n. The records up to S are not parsed here."""
         start = 0
         snap = self._journal.latest_snapshot()
         if snap is not None:
             start, state = snap
-            if start > len(records):
-                raise CorruptJournal(
-                    f"snapshot at seq {start} but journal ends at "
-                    f"{len(records)}")
             self._load_state(state)
-        for seq, rec in enumerate(records, 1):
+        records = self._journal.read_records(after=start)
+        for seq, rec in enumerate(records, start + 1):
             if rec["seq"] != seq:
                 raise CorruptJournal(
                     f"sequence gap: record {seq} has seq {rec['seq']}")
-            if seq <= start:
-                continue
             try:
                 self._apply(rec["op"], rec["args"], seq)
             except (KeyError, ValueError, TypeError, ZoneError) as e:
                 raise CorruptJournal(
                     f"replay failed at seq {seq}: {e}") from e
-        self._seq = len(records)
+        self._seq = start + len(records)
 
     @classmethod
     def replay(cls, records: Iterable[dict]) -> "Catalog":
@@ -759,10 +759,20 @@ class Catalog:
                 and (actor is None or e["actor"] == actor)]
 
     def _audit_trail(self) -> list[dict]:
-        """Every audit entry, read from the journal. Caller holds lock."""
-        return [self._apply_audit_append(rec["args"], rec["seq"])
-                for rec in self._journal.read_records()
-                if rec["op"] == "audit.append"]
+        """Every audit entry, read from the journal. A reopen parses no
+        record up to the snapshot's seq, so a malformed one shows here.
+        Caller holds lock."""
+        trail = []
+        for rec in self._journal.read_records():
+            if rec["op"] == "audit.append":
+                try:
+                    trail.append(
+                        self._apply_audit_append(rec["args"], rec["seq"]))
+                except KeyError as e:
+                    raise CorruptJournal(
+                        f"malformed audit.append at seq {rec['seq']}: "
+                        f"no {e}") from e
+        return trail
 
     # -- objects (engine-mediated: authorization happens in the engine) ----
 

@@ -24,14 +24,19 @@ the same either way.
 A journal made without a directory keeps its lines in a list and writes
 no snapshot.
 
-Recovery is latest snapshot plus tail replay: the catalog applies only
-the records after the snapshot's seq. The whole journal is parsed
-with one json.loads; only when that fails does a per-line parse find the
-fault. A torn final line (the mark of a crash mid-append: it lacks its
-newline or does not parse) is dropped and cut off before the next append;
-a malformed line anywhere else means the journal is corrupt. Sequence
-numbers must be contiguous from 1. An append that fails leaves the file
-as it was before the append.
+Recovery is latest snapshot plus tail replay: read_records(after=S)
+parses only the records after the snapshot's seq S. It finds where
+record S ends by bisecting the line starts of journal.log, parsing one
+line per probe, and raises unless a line there holds record S; the
+records up to S are parsed only by read_records() without an argument,
+which records(), the audit trail and state_dict() use. The lines read are
+parsed with one json.loads; only when that fails does a per-line parse
+find the fault. A torn final line (the mark of a crash mid-append: it
+lacks its newline or does not parse) is dropped and cut off before the
+next append; a malformed line anywhere else means the journal is
+corrupt. The caller checks that the sequence numbers it reads are
+contiguous. An append that fails leaves the file as it was before the
+append.
 
 A snapshot is written to snapshot-<seq>.tmp and renamed into place. Only
 then are all but the newest KEEP_SNAPSHOTS snapshots deleted, together
@@ -176,18 +181,23 @@ class Journal:
 
     # -- read side ------------------------------------------------------
 
-    def read_records(self) -> list[dict]:
-        """Parse every record; tolerate only a torn final line."""
+    def read_records(self, after: int = 0) -> list[dict]:
+        """Parse the records after seq `after`, by default every record;
+        tolerate only a torn final line. With after > 0 the journal must
+        hold record `after`, found by a bisect of the line starts that
+        parses one line per probe; no record before it is parsed."""
         if self.path is None:
-            lines, tail = self._lines, b""
+            data = b"\n".join(self._lines + [b""])
         else:
             data = self.path.read_bytes() if self.path.exists() else b""
-            lines = data.split(b"\n")
-            tail = lines.pop()  # b"" when the file ends on a newline
+        start = _end_of_record(data, after) if after else 0
+        lines = data[start:].split(b"\n")
+        tail = lines.pop()  # b"" when the file ends on a newline
         records = _parse_at_once(lines)
         if records is None:
-            records = _parse_each(lines, tail)
-        self._end = sum(len(line) + 1 for line in lines[:len(records)])
+            records = _parse_each(lines, tail, after)
+        self._end = start + sum(len(line) + 1
+                                for line in lines[:len(records)])
         return records
 
     def _snapshots(self) -> list[tuple[int, Path]]:
@@ -273,14 +283,43 @@ def _parse_at_once(lines: list[bytes]) -> list[dict] | None:
     return records
 
 
-def _parse_each(lines: list[bytes], tail: bytes) -> list[dict]:
-    """Parse line by line; drop a torn final line, raise on any other."""
+def _end_of_record(data: bytes, seq: int) -> int:
+    """The offset just past the line of record `seq` in the journal bytes
+    `data`, found by bisecting the line starts: seqs rise by line. Raise
+    CorruptJournal unless one line holds that record. Only whole lines
+    are probed; a final one that does not parse is a torn tail and sorts
+    after every record, as _parse_each drops it."""
+    lo, hi = 0, data.rfind(b"\n") + 1
+    while lo < hi:
+        begin = data.rfind(b"\n", lo, (lo + hi) // 2) + 1 or lo
+        end = data.index(b"\n", begin) + 1
+        try:
+            found = validate_record(json.loads(data[begin:end]))["seq"]
+        except (ValueError, CorruptJournal):
+            if end < len(data):
+                raise CorruptJournal(
+                    f"malformed journal line at byte {begin}")
+            found = None  # torn final line
+        if found == seq:
+            return end
+        if found is not None and found < seq:
+            lo = end
+        else:
+            hi = begin
+    raise CorruptJournal(f"snapshot at seq {seq} but the journal holds no "
+                         f"record {seq}")
+
+
+def _parse_each(lines: list[bytes], tail: bytes,
+                after: int = 0) -> list[dict]:
+    """Parse line by line; drop a torn final line, raise on any other.
+    The lines follow record `after`, so a line's number is its seq."""
     records: list[dict] = []
     for i, line in enumerate(lines, 1):
         try:
             records.append(validate_record(json.loads(line)))
         except (ValueError, CorruptJournal):
             if i < len(lines) or tail:
-                raise CorruptJournal(f"malformed journal line {i}")
+                raise CorruptJournal(f"malformed journal line {after + i}")
             break  # torn final line from a crash mid-append
     return records

@@ -481,6 +481,7 @@ def test_fetch_caching_against_counting_server():
         finally:
             zone.close()
             httpd.shutdown()
+            httpd.server_close()
 
 
 # ---------------------------------------------------------------------------

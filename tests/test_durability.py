@@ -12,6 +12,7 @@ import errno
 import itertools
 import json
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ import pgzone.catalog as catalog_mod
 import pgzone.journal as journal_mod
 from pgzone.catalog import REPLICA_STATUSES, Catalog
 from pgzone.common import SYSTEM, sha256_hex
+from pgzone.errors import CorruptJournal
 from pgzone.journal import JOURNAL_NAME, SNAPSHOT_EVERY, canonical_json
 from pgzone.zone import Zone
 
@@ -507,3 +509,155 @@ def test_reopen_applies_only_the_records_after_the_snapshot(tmp_path,
         assert again.state_dict() == want
     finally:
         again.close()
+
+
+# The tail read: a reopen finds where record S of snapshot-S ends and
+# parses only the records after it.
+S = SNAPSHOT_EVERY
+
+
+def past_one_snapshot(journal_dir, tail=12):
+    """A closed journal with snapshot-S and `tail` records of several ops
+    after it; returns its records."""
+    c = new_catalog(journal_dir)
+    noise(c, S - len(c.records()))
+    for i in range(tail):
+        if i % 3 == 0:
+            c.make_collection("admin", f"/t{i}")
+        elif i % 3 == 1:
+            c.add_avu("admin", f"/t{i - 1}", "k", str(i))
+        else:
+            c.audit_append("admin", "tail", str(i))
+    records = c.records()
+    c.close()
+    assert snapshot_names(journal_dir) == [f"snapshot-{S}.json"]
+    assert len(records) == S + tail
+    return records
+
+
+def journal_lines(journal_dir):
+    return (journal_dir / JOURNAL_NAME).read_bytes().splitlines(keepends=True)
+
+
+def rewrite_journal(journal_dir, lines):
+    (journal_dir / JOURNAL_NAME).write_bytes(b"".join(lines))
+
+
+def test_reopen_parses_only_the_records_after_the_snapshot(tmp_path,
+                                                           monkeypatch):
+    records = past_one_snapshot(tmp_path)
+    parsed = []
+    real_validate = journal_mod.validate_record
+
+    def counting(record):
+        parsed.append(record["seq"])
+        return real_validate(record)
+
+    monkeypatch.setattr(journal_mod, "validate_record", counting)
+    again = Catalog(tmp_path)
+    monkeypatch.undo()
+    try:
+        assert again.state_dict() == Catalog.replay(records).state_dict()
+    finally:
+        again.close()
+    # Each record after S once, and the bisect's few one-line probes.
+    assert set(range(S + 1, len(records) + 1)) <= set(parsed)
+    probes = len(parsed) - (len(records) - S)
+    assert 0 < probes <= 2 * len(records).bit_length()
+
+
+@pytest.mark.parametrize("edit", ["dropped", "seq-below", "seq-above"])
+def test_reopen_raises_unless_the_tail_follows_record_s(tmp_path, edit):
+    past_one_snapshot(tmp_path)
+    lines = journal_lines(tmp_path)
+    if edit == "dropped":
+        del lines[S - 1]
+    else:
+        record = json.loads(lines[S - 1])
+        record["seq"] += -1 if edit == "seq-below" else 1
+        lines[S - 1] = canonical_json(record).encode() + b"\n"
+    rewrite_journal(tmp_path, lines)
+    with pytest.raises(CorruptJournal, match=f"no record {S}"):
+        Catalog(tmp_path)
+
+
+def test_reopen_raises_on_a_seq_gap_after_the_snapshot(tmp_path):
+    past_one_snapshot(tmp_path)
+    lines = journal_lines(tmp_path)
+    del lines[S + 3]
+    rewrite_journal(tmp_path, lines)
+    with pytest.raises(CorruptJournal, match="sequence gap"):
+        Catalog(tmp_path)
+
+
+@pytest.mark.parametrize("newline", [False, True],
+                         ids=["torn", "torn-with-newline"])
+def test_torn_tail_after_the_snapshot_is_cut_off_and_no_record_lost(
+        tmp_path, newline):
+    records = past_one_snapshot(tmp_path)
+    with open(tmp_path / JOURNAL_NAME, "ab") as f:  # crash mid-append
+        f.write(b'{"seq":%d,"op":"collection.create","args":{"pa'
+                % (len(records) + 1) + (b"\n" if newline else b""))
+    c = Catalog(tmp_path)
+    c.make_collection("admin", "/after")
+    want = c.state_dict()
+    after = c.records()
+    c.close()
+    assert after[:-1] == records
+    assert after[-1]["seq"] == len(records) + 1
+    assert (tmp_path / JOURNAL_NAME).read_bytes() == b"".join(
+        canonical_json(r).encode() + b"\n" for r in after)
+    assert reopened_state(tmp_path) == want == \
+        Catalog.replay(after).state_dict()
+
+
+def test_malformed_audit_record_below_the_snapshot_fails_the_query(tmp_path):
+    """A reopen does not parse seq 2 in place, so damage there shows when
+    the audit trail is read, as CorruptJournal."""
+    past_one_snapshot(tmp_path)
+    lines = journal_lines(tmp_path)
+    record = json.loads(lines[1])
+    assert record["op"] == "audit.append"
+    del record["args"]["actor"]
+    lines[1] = canonical_json(record).encode() + b"\n"
+    rewrite_journal(tmp_path, lines)
+    again = Catalog(tmp_path)
+    try:
+        with pytest.raises(CorruptJournal, match="seq 2"):
+            again.audit_query("admin")
+        with pytest.raises(CorruptJournal, match="seq 2"):
+            again.state_dict()
+    finally:
+        again.close()
+
+
+def cut_copy(src, dst, cut):
+    shutil.copytree(src, dst)
+    with open(dst / JOURNAL_NAME, "r+b") as f:
+        f.truncate(cut)
+    return dst
+
+
+def test_crash_cut_oracle(tmp_path):
+    """A kill can leave journal.log cut at any byte. Cut after record S,
+    at every record boundary and at one byte inside every record, a
+    reopen holds exactly the whole records before the cut. Cut below S,
+    the snapshot is ahead of the journal, and the reopen raises."""
+    src = tmp_path / "zone"
+    records = past_one_snapshot(src)
+    ends = list(itertools.accumulate(len(line)
+                                     for line in journal_lines(src)))
+    ends.insert(0, 0)  # ends[k]: the byte after record k
+    rng = random.Random(0)
+    cuts = [(ends[k], k) for k in range(S, len(records) + 1)]
+    cuts += [(rng.randrange(ends[k] + 1, ends[k + 1]), k)
+             for k in range(S, len(records))]
+    for i, (cut, k) in enumerate(cuts):
+        got = reopened_state(cut_copy(src, tmp_path / f"cut{i}", cut))
+        assert got == Catalog.replay(records[:k]).state_dict(), (cut, k)
+
+    below = [0, ends[1], ends[S // 2], ends[S - 1],
+             rng.randrange(ends[S - 1] + 1, ends[S]), ends[S] - 1]
+    for i, cut in enumerate(below):
+        with pytest.raises(CorruptJournal):
+            Catalog(cut_copy(src, tmp_path / f"below{i}", cut))

@@ -212,3 +212,61 @@ def test_in_memory_journal_keeps_lines_and_no_snapshot():
     assert j.write_snapshot(3, {"v": 1}) is None
     assert j.latest_snapshot() is None
     j.close()
+
+
+def seven_records(tmp_path, torn):
+    j = Journal(tmp_path)
+    for i in range(1, 8):
+        j.append(rec(i, payload="x" * i))
+    j.close()
+    with open(tmp_path / JOURNAL_NAME, "a") as f:
+        f.write(torn)
+
+
+# The long torn line holds most of the file, so the bisect's first probe
+# lands in it.
+@pytest.mark.parametrize("torn", ["", '{"seq": 8, "op"', '{"seq": 8, "op"\n',
+                                  '{"seq": 8, "op": "' + "x" * 2000 + "\n"],
+                         ids=["none", "torn", "torn-with-newline",
+                              "long-torn-with-newline"])
+@pytest.mark.parametrize("after", range(1, 8))
+def test_read_records_after_a_seq_returns_the_later_ones(tmp_path, torn,
+                                                         after):
+    seven_records(tmp_path, torn)
+    j = Journal(tmp_path)
+    assert [r["seq"] for r in j.read_records(after=after)] == \
+        list(range(after + 1, 8))
+    # The torn line is cut off before the next append, not a record more.
+    j.append(rec(8))
+    j.close()
+    want = [rec(i, payload="x" * i) for i in range(1, 8)] + [rec(8)]
+    assert Journal(tmp_path).read_records() == want
+
+
+@pytest.mark.parametrize("torn", ["", '{"seq": 8, "op"\n'],
+                         ids=["none", "torn-with-newline"])
+@pytest.mark.parametrize("after", [8, 9, 100])
+def test_read_records_after_a_seq_the_journal_lacks_is_corrupt(tmp_path, torn,
+                                                                after):
+    seven_records(tmp_path, torn)
+    with pytest.raises(CorruptJournal, match=f"no record {after}"):
+        Journal(tmp_path).read_records(after=after)
+
+
+def test_read_records_after_raises_on_a_malformed_line_in_its_place(tmp_path):
+    seven_records(tmp_path, "")
+    lines = (tmp_path / JOURNAL_NAME).read_text().splitlines(keepends=True)
+    lines[3] = "garbage line\n"
+    (tmp_path / JOURNAL_NAME).write_text("".join(lines))
+    with pytest.raises(CorruptJournal, match="malformed"):
+        Journal(tmp_path).read_records(after=4)
+
+
+def test_read_records_after_in_memory():
+    j = Journal()
+    for i in range(1, 6):
+        j.append(rec(i))
+    assert [r["seq"] for r in j.read_records(after=3)] == [4, 5]
+    assert j.read_records(after=5) == []
+    with pytest.raises(CorruptJournal):
+        j.read_records(after=6)
