@@ -6,8 +6,8 @@ the records back from here.
 
 Layout inside the journal directory:
 
-  journal.log          one JSON object per line:
-                       {"seq": n, "op": "...", "args": {...}, "when": us}
+  journal.log          one JSON object per line, canonical_json(record):
+                       {"args":{...},"op":"...","seq":n,"when":us}
   snapshot-<seq>.json  {"seq":S,"state":BODY,"state_hash":H,"when":W}
                        with BODY the canonical JSON of the state the
                        caller hands over as of seq S, and H its sha256,
@@ -20,6 +20,15 @@ hand over, for some sections, the serialized text of each entry, kept
 from the last snapshot for every entry that has not changed since. The
 text of the other entries is made and kept here. The bytes written are
 the same either way.
+
+Every text here is canonical JSON: sorted keys, no spaces, ASCII only,
+the bytes of json.dumps(value, sort_keys=True, separators=(",", ":"),
+ensure_ascii=True). canonical_json encodes with the one C encoder made
+at import, not with a new encoder per call as json.dumps does. A line
+of journal.log encodes only the record's args and op; its seq and when
+are spliced around them with one % format. Canonical JSON sorts the
+four keys as args, op, seq, when, so the line has the same bytes as
+canonical_json(record).
 
 A journal made without a directory keeps its lines in a list and writes
 no snapshot.
@@ -51,7 +60,7 @@ import logging
 import os
 import re
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from .common import now_us, sha256_hex
 from .errors import CorruptJournal
@@ -67,17 +76,31 @@ _RECORD_KEYS = {"seq", "op", "args", "when"}
 _SNAPSHOT_SUFFIX = re.compile(rb',"state_hash":"([0-9a-f]{64})","when":-?\d+\}')
 
 
+def _unserializable(value: Any) -> NoReturn:
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
+# The encoder json.dumps builds afresh on each call with these settings.
+# No markers dict: a shared one would keep the ids of a failed encoding
+# and fail the next encoding of the same object as a circular reference.
+# Without one, a cycle, which no record holds, ends in RecursionError.
+_ENCODE = json.encoder.c_make_encoder(
+    None, _unserializable, json.encoder.encode_basestring_ascii, None,
+    ":", ",", True, False, True)
+
+
 def canonical_json(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True)
+    return "".join(_ENCODE(value, 0))
 
 
 def validate_record(record: Any) -> dict:
     if not isinstance(record, dict) or set(record) != _RECORD_KEYS:
         raise CorruptJournal(f"malformed record: {record!r}")
-    if not isinstance(record["seq"], int) or not isinstance(record["op"], str) \
+    # type() is int: a bool is an int, and would replay as seq 1.
+    if type(record["seq"]) is not int or not isinstance(record["op"], str) \
             or not isinstance(record["args"], dict) \
-            or not isinstance(record["when"], int):
+            or type(record["when"]) is not int:
         raise CorruptJournal(f"malformed record: {record!r}")
     return record
 
@@ -88,7 +111,8 @@ class Journal:
 
     def __init__(self, directory: str | Path | None = None):
         self.dir = self.path = None
-        self._lines: list[bytes] = []  # the records of an in-memory journal
+        # The lines, each with its newline, of an in-memory journal.
+        self._lines: list[bytes] = []
         self._file = None
         # Bytes of whole records in journal.log, once read_records or the
         # first append has looked; the file is cut back to this on reopen.
@@ -110,12 +134,16 @@ class Journal:
         return self._file
 
     def append(self, record: dict) -> None:
-        line = canonical_json(record).encode("ascii")
+        """Write one record of the shape validate_record accepts."""
+        line = b'{"args":%s,"op":%s,"seq":%d,"when":%d}\n' % (
+            canonical_json(record["args"]).encode("ascii"),
+            canonical_json(record["op"]).encode("ascii"),
+            record["seq"], record["when"])
         if self.path is None:
             self._lines.append(line)
             return
         f = self._ensure_open()
-        data = memoryview(line + b"\n")
+        data = memoryview(line)
         try:
             while data:
                 data = data[f.write(data):]
@@ -128,7 +156,7 @@ class Journal:
             finally:
                 f.close()
             raise
-        self._end += len(line) + 1
+        self._end += len(line)
 
     def write_snapshot(self, seq: int, state: dict,
                        memo: dict[str, dict[str, str]] | None = None
@@ -187,7 +215,7 @@ class Journal:
         hold record `after`, found by a bisect of the line starts that
         parses one line per probe; no record before it is parsed."""
         if self.path is None:
-            data = b"\n".join(self._lines + [b""])
+            data = b"".join(self._lines)
         else:
             data = self.path.read_bytes() if self.path.exists() else b""
         start = _end_of_record(data, after) if after else 0

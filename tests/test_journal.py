@@ -42,6 +42,8 @@ def test_canonical_json_is_stable():
     {"seq": 1, "op": 2, "args": {}, "when": 1},               # op type
     {"seq": 1, "op": "x", "args": [], "when": 1},             # args type
     {"seq": 1, "op": "x", "args": {}, "when": "now"},         # when type
+    {"seq": True, "op": "x", "args": {}, "when": 1},          # bool seq
+    {"seq": 1, "op": "x", "args": {}, "when": False},         # bool when
 ])
 def test_validate_record_rejects(bad):
     with pytest.raises(CorruptJournal):
