@@ -34,7 +34,11 @@ the paths under each attribute (name, value) pair. The _apply_*
 functions keep them and _load_state rebuilds them, so recovery and
 replay rebuild them too; they are never journaled or written to a
 snapshot. A listing then costs O(children), and a metadata query
-O(distinct pairs under the name it narrows to).
+O(distinct pairs under the name it narrows to). The _apply_* functions
+also note, per collection, the seq of the newest object put or removed
+in it other than by a stream ingest (rewrite_seq), which tells a cache
+of the collection, the stream index, that it must look again; it starts
+empty at every open.
 
 Mutations are serialized through one lock (the journal sequence is the
 linearization order); the catalog object may be shared across threads.
@@ -333,6 +337,9 @@ class Catalog:
         self._children: dict[str, set[str]] = {}
         self._avu_index: dict[str, dict[str, set[str]]] = {}
         self._snapshot_memo = _empty_memo()
+        # Collection -> seq of the newest object.put or object.remove in
+        # it: lets a cache of a collection's objects see it changed.
+        self._rewrites: dict[str, int] = {}
 
     # -- journal plumbing -------------------------------------------------
 
@@ -743,7 +750,6 @@ class Catalog:
         with self._lock:
             self._commit("audit.append", {
                 "actor": actor, "event": event, "detail": detail,
-                "when": now_us(),
             })
 
     def audit_query(self, caller: str, t_lo: int | None = None,
@@ -766,8 +772,8 @@ class Catalog:
         for rec in self._journal.read_records():
             if rec["op"] == "audit.append":
                 try:
-                    trail.append(
-                        self._apply_audit_append(rec["args"], rec["seq"]))
+                    trail.append(self._apply_audit_append(
+                        rec["args"], rec["seq"], rec["when"]))
                 except KeyError as e:
                     raise CorruptJournal(
                         f"malformed audit.append at seq {rec['seq']}: "
@@ -855,6 +861,14 @@ class Catalog:
     def object_exists(self, path: str) -> bool:
         with self._lock:
             return path in self._objects
+
+    def rewrite_seq(self, coll: str) -> int:
+        """The seq of the newest object.put or object.remove of an object
+        directly in coll that this catalog applied, or 0. An ingest that
+        adds a segment does not count: the stream index adds it itself,
+        and is built again when this moves."""
+        with self._lock:
+            return self._rewrites.get(coll, 0)
 
     def add_orphan(self, path: str, resource: str, physical_ref: str,
                    checksum: str) -> None:
@@ -1019,6 +1033,11 @@ class Catalog:
             self._index_avu(a["path"], a["name"], a["value"])
 
     def _apply_object_put(self, a: dict, seq: int) -> None:
+        self._put_replica(a)
+        self._rewrites[parent_path(a["path"])] = seq
+
+    def _put_replica(self, a: dict) -> None:
+        """Create the object with one replica, or replace its replicas."""
         replica = {
             "resource": a["resource"], "physical_ref": a["physical_ref"],
             "checksum": a["checksum"], "size": a["size"], "status": "good",
@@ -1048,8 +1067,10 @@ class Catalog:
 
     def _apply_object_remove(self, a: dict, seq: int) -> None:
         path = a["path"]
+        parent = parent_path(path)
         del self._objects[path]
-        self._children[parent_path(path)].discard(path)
+        self._children[parent].discard(path)
+        self._rewrites[parent] = seq
         # Triples that differ only in their comment share one pair.
         pairs = {(name, value) for name, value, _ in self._avus.pop(path, ())}
         for name, value in pairs:
@@ -1090,7 +1111,11 @@ class Catalog:
         self._runs[record["run_id"]] = record
 
     def _apply_stream_ingest(self, a: dict, seq: int) -> None:
-        self._apply_object_put(a, seq)
+        # Streams indexes its own ingests, but not one that replaces an
+        # object put under the segment's name beforehand.
+        if a["path"] in self._objects:
+            self._rewrites[a["coll"]] = seq
+        self._put_replica(a)
         current = self._stream_counters.get(a["coll"], 0)
         self._stream_counters[a["coll"]] = max(current, a["segment_id"])
         for name, value in (("stream.t_min", str(a["t_min"])),
@@ -1099,10 +1124,13 @@ class Catalog:
                 {"path": a["path"], "name": name, "value": value,
                  "comment": ""}, seq)
 
-    def _apply_audit_append(self, a: dict, seq: int) -> dict:
+    def _apply_audit_append(self, a: dict, seq: int,
+                            when: int | None = None) -> dict:
         """The record's audit entry, kept nowhere: _audit_trail reads the
-        trail from the journal. A malformed record fails a replay here."""
-        return {"seq": seq, "when": a["when"], "actor": a["actor"],
+        trail from the journal. A malformed record fails a replay here.
+        The entry's time is the record's own `when`; records written
+        before it was the only one carry theirs in args["when"]."""
+        return {"seq": seq, "when": a.get("when", when), "actor": a["actor"],
                 "event": a["event"], "detail": a["detail"]}
 
 

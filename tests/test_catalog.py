@@ -387,9 +387,10 @@ def check_indexes(c, rng):
 
 
 def check_audit(c):
-    """The audit trail is exactly the journal's audit.append records."""
+    """The audit trail is exactly the journal's audit.append records, each
+    at its record's time unless its args carry one."""
     assert c.audit_query("admin") == [
-        AuditEntry(seq=r["seq"], **r["args"])
+        AuditEntry(**{"seq": r["seq"], "when": r["when"], **r["args"]})
         for r in c.records() if r["op"] == "audit.append"]
 
 

@@ -661,3 +661,61 @@ def test_crash_cut_oracle(tmp_path):
     for i, cut in enumerate(below):
         with pytest.raises(CorruptJournal):
             Catalog(cut_copy(src, tmp_path / f"below{i}", cut))
+
+
+def audit_line(seq, when, args):
+    return canonical_json({"seq": seq, "op": "audit.append",
+                           "args": args, "when": when}).encode() + b"\n"
+
+
+def test_audit_entry_time_is_the_records_own_unless_its_args_hold_one(
+        tmp_path):
+    """An audit record carries its time once, as the record's own "when".
+    A line written when args["when"] held it too keeps reporting that
+    one, through reopens, replay and new records after it."""
+    c = new_catalog(tmp_path)
+    c.close()
+    old = {"actor": "admin", "event": "old", "detail": "d", "when": 111}
+    seq = len(journal_lines(tmp_path)) + 1
+    with open(tmp_path / JOURNAL_NAME, "ab") as f:
+        f.write(audit_line(seq, 222, old))
+    c = Catalog(tmp_path)
+    c.audit_append("admin", "new", "d")
+    new_line = journal_lines(tmp_path)[-1]
+    assert new_line.count(b'"when"') == 1
+    new = json.loads(new_line)
+    want = [(seq, 111, "old"), (seq + 1, new["when"], "new")]
+    records, entries = c.records(), c.audit_query("admin")
+    assert [(e.seq, e.when, e.event) for e in entries[-2:]] == want
+    c.close()
+    again = Catalog(tmp_path)
+    try:
+        assert again.audit_query("admin") == entries
+        again.audit_append("admin", "newer", "d")
+        got = again.audit_query("admin")
+        assert got[:-1] == entries and got[-1].event == "newer"
+    finally:
+        again.close()
+    assert Catalog.replay(records).audit_query("admin") == entries
+    assert Catalog.replay(records).audit_query("admin", t_lo=111,
+                                              t_hi=112) == entries[-2:-1]
+
+
+@pytest.mark.parametrize("missing", ["actor", "event", "detail"])
+@pytest.mark.parametrize("old_style", [False, True])
+def test_audit_record_without_a_field_is_corrupt(tmp_path, missing,
+                                                 old_style):
+    c = new_catalog(tmp_path)
+    c.close()
+    args = {"actor": "admin", "event": "e", "detail": "d"}
+    if old_style:
+        args["when"] = 111
+    del args[missing]
+    seq = len(journal_lines(tmp_path)) + 1
+    with open(tmp_path / JOURNAL_NAME, "ab") as f:
+        f.write(audit_line(seq, 222, args))
+    with pytest.raises(CorruptJournal, match=f"seq {seq}"):
+        Catalog(tmp_path)
+    records = [json.loads(line) for line in journal_lines(tmp_path)]
+    with pytest.raises(CorruptJournal, match=f"seq {seq}"):
+        Catalog.replay(records)
