@@ -2,7 +2,8 @@
 
 Talks to a gateway over HTTP for everything except `pg serve`, which
 runs the gateway itself. Exit codes: 0 success, 1 usage or request
-error, 2 permission denied, 3 server or transport failure.
+error, 2 bad credentials (401) or denied (403), 3 server (5xx) or
+transport failure.
 """
 
 from __future__ import annotations
@@ -102,16 +103,9 @@ def _cmd_stat(client, args):
     return client.stat(args.path)
 
 
-def _cmd_replicate(client, args):
-    return client.replicate(args.path, args.resource)
-
-
-def _cmd_stage(client, args):
-    return client.stage(args.path, args.resource)
-
-
-def _cmd_archive(client, args):
-    return client.archive(args.path, args.resource)
+def _cmd_copy(client, args):
+    # The command is the client method: replicate, stage or archive.
+    return getattr(client, args.command)(args.path, args.resource)
 
 
 def _cmd_verify(client, args):
@@ -228,11 +222,16 @@ def _cmd_adddriver(client, args):
 
 # ---------------------------------------------------------------------------
 
-def _cmd_login(config: GatewayConfig, args) -> int:
-    client = ZoneClient(args.server or config.server)
+def _exit_code(e: ClientError | TransportError) -> int:
+    """The one mapping of a failed request to an exit code."""
+    if isinstance(e, TransportError) or e.status >= 500:
+        return EXIT_SERVER
+    return EXIT_DENIED if e.status in (401, 403) else EXIT_ERROR
+
+
+def _cmd_login(client: ZoneClient, token_path: Path, args) -> int:
     secret = _secret_from(args, f"secret for {args.user}: ")
     token = client.login(args.user, secret)
-    token_path = Path(args.token_file or config.token_file)
     token_path.parent.mkdir(parents=True, exist_ok=True)
     token_path.write_text(token + "\n")
     token_path.chmod(0o600)
@@ -301,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("user")
     p.add_argument("--secret", help="secret (otherwise prompted)")
 
-    sub.add_parser("ping", help="check the gateway")
+    sub.add_parser("ping", help="check the gateway").set_defaults(
+        fn=_cmd_ping)
 
     p = sub.add_parser("put", help="upload a data object")
     p.add_argument("path")
@@ -332,12 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.set_defaults(fn=_cmd_stat)
 
-    for verb, fn in (("replicate", _cmd_replicate), ("stage", _cmd_stage),
-                     ("archive", _cmd_archive)):
+    for verb in ("replicate", "stage", "archive"):
         p = sub.add_parser(verb, help=f"{verb} an object onto a resource")
         p.add_argument("path")
         p.add_argument("resource")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_copy)
 
     p = sub.add_parser("verify", help="re-hash all replicas of an object")
     p.add_argument("path")
@@ -468,35 +467,18 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_serve(args)
 
     config = GatewayConfig.load(args.config)
-    if args.command == "login":
-        try:
-            return _cmd_login(config, args)
-        except ClientError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_DENIED if e.status in (401, 403) else EXIT_ERROR
-        except TransportError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_SERVER
-    if args.command == "ping":
-        args.fn = _cmd_ping
-
-    token = None
     token_path = Path(args.token_file or config.token_file)
-    if token_path.exists():
+    token = None  # a login must work whatever the old token file holds
+    if args.command != "login" and token_path.exists():
         token = token_path.read_text().strip()
     client = ZoneClient(args.server or config.server, token=token)
     try:
+        if args.command == "login":
+            return _cmd_login(client, token_path, args)
         payload = args.fn(client, args)
-    except ClientError as e:
+    except (ClientError, TransportError) as e:
         print(f"error: {e}", file=sys.stderr)
-        if e.status == 403:
-            return EXIT_DENIED
-        if e.status >= 500:
-            return EXIT_SERVER
-        return EXIT_ERROR
-    except TransportError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SERVER
+        return _exit_code(e)
     if payload is not None:
         _emit(payload)
     return EXIT_OK

@@ -1,10 +1,12 @@
 """JSON-over-HTTP gateway.
 
-One ThreadingHTTPServer per zone. Request handling is one flat router:
-the URL names the thing, the verb names the action, the body carries
-either JSON or raw bytes (data objects and stream segments). Every
-response carries X-Request-Id (echoed from the request when present)
-and JSON errors carry {"error": <exception name>, "detail": <text>}.
+One ThreadingHTTPServer per zone. Every request is one lookup in the
+route table ROUTES, keyed by (method, path pattern, verb): the URL names
+the thing, a ':verb' suffix of the raw path names the action (a ':' in
+a logical name is sent as '%3A'), and the body carries either JSON or
+raw bytes (data objects and stream segments). Every response carries
+X-Request-Id (echoed from the request when present) and JSON errors
+carry {"error": <exception name>, "detail": <text>}.
 
 Authentication is a Bearer token from POST /login; only /login and
 /ping are open. Uploading executable extensions (micro-services and
@@ -40,8 +42,51 @@ def _as_dict(value):
     return value
 
 
-class _JsonBytes(bytes):
-    """Marker so the router can return raw bodies alongside JSON ones."""
+# The route table: (method, path pattern, verb, handler). A pattern
+# ending in "/*" matches every path below it, and the handler gets the
+# rest of the path from its "/" on; an exact pattern wins over "/*". The
+# verb follows the raw path's first ':'. docs/api.md lists these routes.
+ROUTES = (
+    ("POST", "/login", None, "_login"),
+    ("GET", "/ping", None, "_ping"),
+    ("PUT", "/data/*", None, "_put"),
+    ("GET", "/data/*", None, "_get"),
+    ("DELETE", "/data/*", None, "_remove"),
+    ("POST", "/data/*", "replicate", "_replicate"),
+    ("POST", "/data/*", "stage", "_stage"),
+    ("POST", "/data/*", "archive", "_archive"),
+    ("POST", "/data/*", "verify", "_verify"),
+    ("GET", "/data/*", "stat", "_stat"),
+    ("POST", "/collections", None, "_make_collection"),
+    ("GET", "/collections/*", None, "_list_collection"),
+    ("POST", "/meta", None, "_add_avu"),
+    ("GET", "/meta", None, "_avus"),
+    ("GET", "/meta/query", None, "_query_avu"),
+    ("POST", "/rules", None, "_add_rules"),
+    ("GET", "/rules", None, "_list_rules"),
+    ("DELETE", "/rules/*", None, "_remove_rule"),
+    ("POST", "/users", None, "_create_user"),
+    ("POST", "/groups", None, "_add_to_group"),
+    ("POST", "/acl", None, "_set_acl"),
+    ("POST", "/resources", None, "_register_resource"),
+    ("GET", "/resources", None, "_resources"),
+    ("POST", "/workflows", None, "_attach_workflow"),
+    ("GET", "/workflows/*", None, "_workflow"),
+    ("POST", "/runs", None, "_run"),
+    ("GET", "/runs/diff", None, "_diff_runs"),
+    ("POST", "/runs/*", "rerun", "_rerun"),
+    ("GET", "/runs/*", None, "_run_record"),
+    ("POST", "/streams/*", None, "_stream_ingest"),
+    ("GET", "/streams/*", None, "_stream_read"),
+    ("GET", "/streams/*", "stat", "_stream_stat"),
+    ("GET", "/audit", None, "_audit"),
+    ("GET", "/orphans", None, "_orphans"),
+    ("POST", "/microservices", None, "_register_microservice"),
+    ("POST", "/drivers", None, "_register_driver"),
+)
+
+# The only routes answered without a bearer token.
+OPEN_ROUTES = {("POST", "/login"), ("GET", "/ping")}
 
 
 class GatewayServer:
@@ -50,6 +95,10 @@ class GatewayServer:
         self.zone = zone
         self.config = config or GatewayConfig()
         self.sessions = SessionStore(zone.catalog)
+        self.engine = zone.engine
+        self.catalog = zone.catalog
+        self._routes = {(method, pattern, verb): getattr(self, name)
+                        for method, pattern, verb, name in ROUTES}
         host = host if host is not None else self.config.bind_host
         port = port if port is not None else self.config.bind_port
         handler = _make_handler(self)
@@ -81,229 +130,205 @@ class GatewayServer:
         if self._thread is not None:
             self._thread.join(timeout=5)
 
-    # ------------------------------------------------------------------
-    # Routing; every handler returns (status, payload) where payload is a
-    # JSON-able object, or (status, _JsonBytes raw, content_type).
-    # ------------------------------------------------------------------
+    # -- routing: one lookup in ROUTES -------------------------------------
 
     def route(self, method: str, raw_path: str, query: dict, body: bytes,
-              headers) -> tuple:
-        path = unquote(raw_path)
-        if method == "POST" and path == "/login":
-            data = _json_body(body)
-            session = self.sessions.login(_need(data, "user"),
-                                          _need(data, "secret"))
-            return 200, {"token": session.token,
-                         "user": session.user,
-                         "expires_at": session.expires_at}
-        if method == "GET" and path == "/ping":
-            from .. import __version__
-            return 200, {"zone": self.config.zone_name,
-                         "version": __version__}
+              headers):
+        """Answer one request with its 200 payload: a JSON-able value, or
+        (bytes, extra headers) for a raw body. Failures are exceptions.
+        Each handler takes (user, tail, query, body)."""
+        head, colon, verb = raw_path.partition(":")
+        path, verb = unquote(head), (verb if colon else None)
+        user = None if (method, path) in OPEN_ROUTES \
+            else self._authenticate(headers)
+        first, slash, rest = path[1:].partition("/")
+        pattern = f"/{first}/*" if slash else path
+        handler = self._routes.get((method, path, verb)) or \
+            self._routes.get((method, pattern, verb))
+        if handler is None:
+            raise NoSuchPath(f"no route for {method} {raw_path}")
+        return handler(user, slash + rest, query, body)
 
-        user = self._authenticate(headers)
-        engine = self.zone.engine
-        catalog = self.zone.catalog
+    def _login(self, user, tail, query, body):
+        session = self.sessions.login(*_fields(body, "user", "secret"))
+        return {"token": session.token, "user": session.user,
+                "expires_at": session.expires_at}
 
-        if path.startswith("/data/") or path == "/data":
-            logical, verb = _split_verb(path[len("/data"):])
-            if method == "PUT" and verb is None:
-                view = engine.put(user, logical, body,
-                                  _one(query, "resource"))
-                return 200, _object_payload(view)
-            if method == "GET" and verb is None:
-                data = engine.get(user, logical)
-                checksum = catalog.get_object(logical).checksum
-                return 200, _JsonBytes(data), "application/octet-stream", \
-                    {"X-Checksum": f"sha256:{checksum}"}
-            if method == "DELETE" and verb is None:
-                engine.remove(user, logical)
-                return 200, {"removed": logical}
-            if method == "POST" and verb == "replicate":
-                data = _json_body(body)
-                view = engine.replicate(user, logical,
-                                        _need(data, "resource"))
-                return 200, _object_payload(view)
-            if method == "POST" and verb == "stage":
-                data = _json_body(body)
-                view = engine.stage(user, logical, _need(data, "resource"))
-                return 200, _object_payload(view)
-            if method == "POST" and verb == "archive":
-                data = _json_body(body)
-                view = engine.archive(user, logical, _need(data, "resource"))
-                return 200, _object_payload(view)
-            if method == "POST" and verb == "verify":
-                result = engine.verify_object(user, logical)
-                return 200, {"replicas": [
-                    {"resource": r, "status": s} for r, s in result]}
-            if method == "GET" and verb == "stat":
-                view = catalog.get_object(logical)
-                return 200, _object_payload(view)
+    def _ping(self, user, tail, query, body):
+        from .. import __version__
+        return {"zone": self.config.zone_name, "version": __version__}
 
-        if path == "/collections" and method == "POST":
-            data = _json_body(body)
-            coll = engine.make_collection(user, _need(data, "path"),
-                                          kind=data.get("kind", "plain"))
-            return 200, _as_dict(catalog.get_collection(coll))
-        if path.startswith("/collections/") and method == "GET":
-            logical = path[len("/collections"):]
-            subcolls, objects = catalog.list_collection(logical)
-            view = catalog.get_collection(logical)
-            return 200, {"path": logical, "kind": view.kind,
-                         "owner": view.owner,
-                         "collections": subcolls, "objects": objects}
+    def _put(self, user, tail, query, body):
+        return _object_payload(self.engine.put(user, tail, body,
+                                               _one(query, "resource")))
 
-        if path == "/meta" and method == "POST":
-            data = _json_body(body)
-            engine.add_avu(user, _need(data, "path"), _need(data, "name"),
-                           _need(data, "value"), data.get("comment", ""))
-            return 200, {}
-        if path == "/meta" and method == "GET":
-            target = _one(query, "path")
-            if target is None:
-                raise ValueError("missing query parameter: path")
-            catalog.require_access(target, user, "read")
-            return 200, {"path": target,
-                         "triples": _as_dict(catalog.avus(target))}
-        if path == "/meta/query" and method == "GET":
-            q = _one(query, "q")
-            if q is None:
-                raise ValueError("missing query parameter: q")
-            return 200, {"paths": catalog.query_avu(q)}
+    def _get(self, user, tail, query, body):
+        # The path lock is re-entrant: holding it across the get and the
+        # checksum lookup keeps a put from landing between the two.
+        with self.engine._path_lock(tail):
+            data = self.engine.get(user, tail)
+            checksum = self.catalog.get_object(tail).checksum
+        return data, {"X-Checksum": f"sha256:{checksum}"}
 
-        if path == "/rules" and method == "POST":
-            data = _json_body(body)
-            names = engine.add_rules(user, _need(data, "text"))
-            return 200, {"added": names,
-                         "rule_version": catalog.rule_version}
-        if path == "/rules" and method == "GET":
-            return 200, {"rules": _as_dict(engine.list_rules()),
-                         "rule_version": catalog.rule_version}
-        if path.startswith("/rules/") and method == "DELETE":
-            engine.remove_rule(user, path[len("/rules/"):])
-            return 200, {"rule_version": catalog.rule_version}
+    def _remove(self, user, tail, query, body):
+        self.engine.remove(user, tail)
+        return {"removed": tail}
 
-        if path == "/users" and method == "POST":
-            data = _json_body(body)
-            catalog.create_user(user, _need(data, "name"),
-                                _need(data, "role"), _need(data, "secret"))
-            return 200, {}
-        if path == "/groups" and method == "POST":
-            data = _json_body(body)
-            catalog.add_user_to_group(user, _need(data, "user"),
-                                      _need(data, "group"))
-            return 200, {}
-        if path == "/acl" and method == "POST":
-            data = _json_body(body)
-            catalog.set_acl(user, _need(data, "path"),
-                            _need(data, "principal"), _need(data, "perm"))
-            return 200, {}
+    def _replicate(self, user, tail, query, body):
+        return _object_payload(self.engine.replicate(
+            user, tail, *_fields(body, "resource")))
 
-        if path == "/resources" and method == "POST":
-            data = _json_body(body)
-            catalog.register_resource(
-                user, _need(data, "name"), _need(data, "driver"),
-                _need(data, "root"), _need(data, "kind"))
-            return 200, {}
-        if path == "/resources" and method == "GET":
-            return 200, {"resources": _as_dict(catalog.resources())}
+    def _stage(self, user, tail, query, body):
+        return _object_payload(self.engine.stage(
+            user, tail, *_fields(body, "resource")))
 
-        if path == "/workflows" and method == "POST":
-            data = _json_body(body)
-            record = self.zone.provenance.attach(
-                user, _need(data, "coll"), _need(data, "source"))
-            return 200, record
-        if path.startswith("/workflows/") and method == "GET":
-            return 200, self.zone.provenance.workflow(
-                path[len("/workflows/"):])
+    def _archive(self, user, tail, query, body):
+        return _object_payload(self.engine.archive(
+            user, tail, *_fields(body, "resource")))
 
-        if path == "/runs" and method == "POST":
-            data = _json_body(body)
-            record = self.zone.provenance.run(
-                user, _need(data, "workflow_id"),
-                data.get("bindings", {}))
-            return 200, record
-        if path == "/runs/diff" and method == "GET":
-            a, b = _one(query, "a"), _one(query, "b")
-            if a is None or b is None:
-                raise ValueError("missing query parameters: a, b")
-            return 200, self.zone.provenance.diff_runs(a, b)
-        if path.startswith("/runs/") and method == "POST" \
-                and path.endswith(":rerun"):
-            run_id = path[len("/runs/"):-len(":rerun")]
-            data = _json_body(body) if body else {}
-            record = self.zone.provenance.rerun(
-                user, run_id, data.get("overrides"))
-            return 200, record
-        if path.startswith("/runs/") and method == "GET":
-            return 200, self.zone.provenance.run_record(path[len("/runs/"):])
+    def _verify(self, user, tail, query, body):
+        return {"replicas": [{"resource": r, "status": s} for r, s in
+                             self.engine.verify_object(user, tail)]}
 
-        if path.startswith("/streams/"):
-            coll, verb = _split_verb(path[len("/streams"):])
-            if method == "POST" and verb in (None, "ingest"):
-                entry = self.zone.streams.ingest(user, coll, body,
-                                                 _one(query, "resource"))
-                return 200, _as_dict(entry)
-            if method == "GET" and verb is None:
-                t_lo = _int_param(query, "from")
-                t_hi = _int_param(query, "to")
-                data = self.zone.streams.read_framed(user, coll, t_lo, t_hi)
-                return 200, _JsonBytes(data), "application/octet-stream", {}
-            if method == "GET" and verb == "stat":
-                return 200, self.zone.streams.stat(user, coll)
+    def _stat(self, user, tail, query, body):
+        return _object_payload(self.catalog.get_object(tail))
 
-        if path == "/audit" and method == "GET":
-            entries = catalog.audit_query(
-                user,
-                t_lo=_int_param(query, "from", required=False),
-                t_hi=_int_param(query, "to", required=False),
-                event=_one(query, "event"),
-                actor=_one(query, "actor"))
-            return 200, {"entries": _as_dict(entries)}
+    def _make_collection(self, user, tail, query, body):
+        data = _json_body(body)
+        coll = self.engine.make_collection(user, _need(data, "path"),
+                                           kind=data.get("kind", "plain"))
+        return _as_dict(self.catalog.get_collection(coll))
 
-        if path == "/orphans" and method == "GET":
-            catalog.require_admin(user)
-            return 200, {"orphans": catalog.orphans()}
+    def _list_collection(self, user, tail, query, body):
+        subcolls, objects = self.catalog.list_collection(tail)
+        view = self.catalog.get_collection(tail)
+        return {"path": tail, "kind": view.kind, "owner": view.owner,
+                "collections": subcolls, "objects": objects}
 
-        if path == "/microservices" and method == "POST":
-            return 200, self._register_microservice(user, _json_body(body))
-        if path == "/drivers" and method == "POST":
-            return 200, self._register_driver(user, _json_body(body))
+    def _add_avu(self, user, tail, query, body):
+        data = _json_body(body)
+        self.engine.add_avu(user, _need(data, "path"), _need(data, "name"),
+                            _need(data, "value"), data.get("comment", ""))
+        return {}
 
-        raise NoSuchPath(f"no route for {method} {path}")
+    def _avus(self, user, tail, query, body):
+        target = _one(query, "path", required=True)
+        self.catalog.require_access(target, user, "read")
+        return {"path": target,
+                "triples": _as_dict(self.catalog.avus(target))}
+
+    def _query_avu(self, user, tail, query, body):
+        q = _one(query, "q", required=True)
+        return {"paths": self.catalog.query_avu(q)}
+
+    def _add_rules(self, user, tail, query, body):
+        names = self.engine.add_rules(user, *_fields(body, "text"))
+        return {"added": names, "rule_version": self.catalog.rule_version}
+
+    def _list_rules(self, user, tail, query, body):
+        return {"rules": _as_dict(self.engine.list_rules()),
+                "rule_version": self.catalog.rule_version}
+
+    def _remove_rule(self, user, tail, query, body):
+        self.engine.remove_rule(user, tail[1:])
+        return {"rule_version": self.catalog.rule_version}
+
+    def _create_user(self, user, tail, query, body):
+        self.catalog.create_user(
+            user, *_fields(body, "name", "role", "secret"))
+        return {}
+
+    def _add_to_group(self, user, tail, query, body):
+        self.catalog.add_user_to_group(user, *_fields(body, "user", "group"))
+        return {}
+
+    def _set_acl(self, user, tail, query, body):
+        self.catalog.set_acl(
+            user, *_fields(body, "path", "principal", "perm"))
+        return {}
+
+    def _register_resource(self, user, tail, query, body):
+        self.catalog.register_resource(
+            user, *_fields(body, "name", "driver", "root", "kind"))
+        return {}
+
+    def _resources(self, user, tail, query, body):
+        return {"resources": _as_dict(self.catalog.resources())}
+
+    def _attach_workflow(self, user, tail, query, body):
+        return self.zone.provenance.attach(
+            user, *_fields(body, "coll", "source"))
+
+    def _workflow(self, user, tail, query, body):
+        return self.zone.provenance.workflow(tail[1:])
+
+    def _run(self, user, tail, query, body):
+        data = _json_body(body)
+        return self.zone.provenance.run(user, _need(data, "workflow_id"),
+                                        data.get("bindings", {}))
+
+    def _diff_runs(self, user, tail, query, body):
+        return self.zone.provenance.diff_runs(
+            _one(query, "a", required=True), _one(query, "b", required=True))
+
+    def _rerun(self, user, tail, query, body):
+        return self.zone.provenance.rerun(
+            user, tail[1:], _json_body(body).get("overrides"))
+
+    def _run_record(self, user, tail, query, body):
+        return self.zone.provenance.run_record(tail[1:])
+
+    def _stream_ingest(self, user, tail, query, body):
+        return _as_dict(self.zone.streams.ingest(user, tail, body,
+                                                 _one(query, "resource")))
+
+    def _stream_read(self, user, tail, query, body):
+        data = self.zone.streams.read_framed(
+            user, tail, _int_param(query, "from"), _int_param(query, "to"))
+        return data, {}
+
+    def _stream_stat(self, user, tail, query, body):
+        return self.zone.streams.stat(user, tail)
+
+    def _audit(self, user, tail, query, body):
+        return {"entries": _as_dict(self.catalog.audit_query(
+            user,
+            t_lo=_int_param(query, "from", required=False),
+            t_hi=_int_param(query, "to", required=False),
+            event=_one(query, "event"), actor=_one(query, "actor")))}
+
+    def _orphans(self, user, tail, query, body):
+        self.catalog.require_admin(user)
+        return {"orphans": self.catalog.orphans()}
 
     # -- dynamic code upload -----------------------------------------------
 
-    def _check_dynamic(self, user: str) -> None:
-        self.zone.catalog.require_admin(user)
+    def _load_upload(self, user: str, body: bytes, kind: str, entry: str):
+        """Run uploaded code, admin only and only if the zone allows it;
+        returns (JSON body, name, the function the code names `entry`)."""
+        self.catalog.require_admin(user)
         if not self.zone.allow_dynamic_code:
             raise Denied("dynamic code upload is disabled on this gateway")
-
-    def _register_microservice(self, user: str, data: dict) -> dict:
-        self._check_dynamic(user)
+        data = _json_body(body)
         name = _need(data, "name")
         namespace: dict = {}
-        exec(compile(_need(data, "code"), f"<microservice {name}>", "exec"),
+        exec(compile(_need(data, "code"), f"<{kind} {name}>", "exec"),
              namespace)
-        fn = namespace.get("ms")
+        fn = namespace.get(entry)
         if not callable(fn):
-            raise ValueError("code must define a function named 'ms'")
-        self.zone.engine.register_microservice(
-            user, name, fn, int(data.get("min_args", 0)),
-            int(data["max_args"]) if "max_args" in data else
-            int(data.get("min_args", 0)))
+            raise ValueError(f"code must define a function named {entry!r}")
+        return data, name, fn
+
+    def _register_microservice(self, user, tail, query, body):
+        data, name, fn = self._load_upload(user, body, "microservice", "ms")
+        min_args = int(data.get("min_args", 0))
+        self.engine.register_microservice(
+            user, name, fn, min_args, int(data.get("max_args", min_args)))
         return {"registered": name}
 
-    def _register_driver(self, user: str, data: dict) -> dict:
-        self._check_dynamic(user)
-        name = _need(data, "name")
-        namespace: dict = {}
-        exec(compile(_need(data, "code"), f"<driver {name}>", "exec"),
-             namespace)
-        factory = namespace.get("make_driver")
-        if not callable(factory):
-            raise ValueError("code must define a function named "
-                             "'make_driver'")
+    def _register_driver(self, user, tail, query, body):
+        _, name, factory = self._load_upload(user, body, "driver",
+                                             "make_driver")
         driver = factory()
         if not isinstance(driver, Driver):
             raise ValueError("make_driver() must return a Driver")
@@ -317,15 +342,6 @@ class GatewayServer:
         if not header.startswith("Bearer "):
             raise BadCredentials("missing bearer token")
         return self.sessions.authenticate(header[len("Bearer "):].strip())
-
-
-def _split_verb(raw: str) -> tuple[str, str | None]:
-    """'/x/y:verify' -> ('/x/y', 'verify') for the known verb suffixes."""
-    for verb in ("replicate", "verify", "stat", "stage", "archive"):
-        suffix = ":" + verb
-        if raw.endswith(suffix):
-            return raw[:-len(suffix)], verb
-    return raw, None
 
 
 def _json_body(body: bytes) -> dict:
@@ -346,16 +362,22 @@ def _need(data: dict, key: str):
     return data[key]
 
 
-def _one(query: dict, key: str) -> str | None:
+def _fields(body: bytes, *keys: str) -> list:
+    """The named fields of a JSON object body; a missing one is a 400."""
+    data = _json_body(body)
+    return [_need(data, key) for key in keys]
+
+
+def _one(query: dict, key: str, required: bool = False) -> str | None:
     values = query.get(key)
+    if not values and required:
+        raise ValueError(f"missing query parameter: {key}")
     return values[0] if values else None
 
 
 def _int_param(query: dict, key: str, required: bool = True) -> int | None:
-    raw = _one(query, key)
+    raw = _one(query, key, required)
     if raw is None:
-        if required:
-            raise ValueError(f"missing query parameter: {key}")
         return None
     try:
         return int(raw)
@@ -405,31 +427,30 @@ def _make_handler(gateway: GatewayServer):
             self.end_headers()
             self.wfile.write(data)
 
-        def _handle(self, method: str) -> None:
+        def _handle(self) -> None:
             self._request_id = self.headers.get("X-Request-Id") \
                 or uuid.uuid4().hex
             try:
                 parts = urlsplit(self.path)
                 body = self._read_body()
-                result = gateway.route(method, parts.path,
-                                       parse_qs(parts.query), body,
-                                       self.headers)
-                status, payload = result[0], result[1]
-                if isinstance(payload, _JsonBytes):
-                    content_type = result[2]
-                    extra = result[3] if len(result) > 3 else {}
-                    self._respond(status, bytes(payload), content_type,
+                payload = gateway.route(self.command, parts.path,
+                                        parse_qs(parts.query), body,
+                                        self.headers)
+                if isinstance(payload, tuple):
+                    data, extra = payload
+                    self._respond(200, data, "application/octet-stream",
                                   extra)
                 else:
                     data = json.dumps(payload).encode("utf-8")
-                    self._respond(status, data, "application/json")
+                    self._respond(200, data, "application/json")
             except Exception as e:  # every failure maps to a JSON error
                 if isinstance(e, ZoneError):
                     status = e.http_status
                 else:
                     status = 400 if isinstance(e, ValueError) else 500
                 if status >= 500:
-                    log.exception("request failed: %s %s", method, self.path)
+                    log.exception("request failed: %s %s", self.command,
+                                  self.path)
                 detail = json.dumps({
                     "error": type(e).__name__, "detail": str(e),
                 }).encode("utf-8")
@@ -438,16 +459,6 @@ def _make_handler(gateway: GatewayServer):
                 except (BrokenPipeError, ConnectionResetError):
                     pass
 
-        def do_GET(self):
-            self._handle("GET")
-
-        def do_PUT(self):
-            self._handle("PUT")
-
-        def do_POST(self):
-            self._handle("POST")
-
-        def do_DELETE(self):
-            self._handle("DELETE")
+        do_GET = do_PUT = do_POST = do_DELETE = _handle
 
     return Handler

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shlex
 import socket
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import pytest
 import requests
 
 from pgzone import errors
+from pgzone.gateway.cli import build_parser, main
 from pgzone.gateway.client import ClientError, ZoneClient
 from pgzone.gateway.config import GatewayConfig
 from pgzone.gateway.server import MAX_BODY, GatewayServer
@@ -248,6 +251,59 @@ def test_get_sets_checksum_header(gw, admin_client):
     import hashlib
     assert resp.headers["X-Checksum"] == \
         "sha256:" + hashlib.sha256(b"abc").hexdigest()
+
+
+def test_checksum_header_names_the_bytes_sent(gw, admin_client):
+    """A put that lands while a GET runs must not change that GET's
+    X-Checksum: the header names the bytes of the body it came with."""
+    admin_client.put("/home/f", b"old bytes")
+    engine = gw.zone.engine
+    get = engine.get
+    putters = []
+
+    def get_then_put(actor, path):
+        data = get(actor, path)
+        # A put of the same path from another thread, given time to land
+        # before the gateway looks up the checksum.
+        putter = threading.Thread(target=engine.put,
+                                  args=(ADMIN, path, b"new bytes"))
+        putter.start()
+        putters.append(putter)
+        putter.join(0.5)
+        return data
+
+    engine.get = get_then_put
+    try:
+        resp = admin_client._request("GET", "/data/home/f")
+    finally:
+        del engine.get
+        for putter in putters:
+            putter.join(10)
+    assert putters and not putters[0].is_alive()
+    assert resp.content == b"old bytes"
+    assert resp.headers["X-Checksum"] == \
+        "sha256:" + hashlib.sha256(resp.content).hexdigest()
+    assert admin_client.get("/home/f") == b"new bytes"
+
+
+def test_names_with_colon_round_trip(gw, admin_client):
+    """ZoneClient sends a ':' in a logical name as %3A, so it is part of
+    the name and never read as a verb."""
+    info = admin_client.put("/home/x:stat", b"colon")
+    assert info["path"] == "/home/x:stat"
+    assert admin_client.get("/home/x:stat") == b"colon"
+    assert admin_client.stat("/home/x:stat")["path"] == "/home/x:stat"
+    gw.zone.engine.put(ADMIN, "/home/y:stat", b"why")
+    gw.zone.engine.put(ADMIN, "/home/y", b"not this one")
+    assert admin_client.get("/home/y:stat") == b"why"
+    assert admin_client.stat("/home/y:stat")["size"] == 3
+
+
+def test_known_verb_with_wrong_method_is_no_such_path(gw, admin_client):
+    admin_client.put("/home/f", b"abc")
+    with pytest.raises(ClientError) as exc:
+        admin_client._json("GET", "/data/home/f:replicate")
+    assert (exc.value.status, exc.value.error) == (404, "NoSuchPath")
 
 
 def test_permission_errors_are_403(gw, admin_client):
@@ -547,3 +603,49 @@ def test_config_precedence(tmp_path):
     assert c2.bind_port == 4321 and c2.zone_name == "filezone"
     c3 = GatewayConfig.load(None, env={"PG_ALLOW_DYNAMIC_CODE": "true"})
     assert c3.allow_dynamic_code is True and c3.bind_port == 8442
+
+
+def test_cli_bad_credentials_exit_2(gw, tmp_path):
+    """401 and 403 both exit 2, for a login and for any other command."""
+    token_file = tmp_path / "token"
+    token_file.write_text("garbage\n")
+    base = ["--server", gw.url, "--token-file", str(token_file)]
+    assert main([*base, "ls", "/"]) == 2
+    assert main([*base, "login", ADMIN, "--secret", "not it"]) == 2
+    assert token_file.read_text() == "garbage\n"
+    assert main([*base, "login", ADMIN, "--secret", ADMIN_SECRET]) == 0
+    assert main([*base, "ls", "/"]) == 0
+    assert main([*base, "get", "/no/such/object", "-"]) == 1
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_readme_cli_lines_parse():
+    """Every `pg ...` line of README's "Use the CLI" block parses."""
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("## Use the CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("pg ")]
+    assert len(lines) >= 15
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+
+
+def test_api_doc_lists_the_route_table():
+    """docs/api.md's "Routes" list equals the server's table, in order."""
+    from pgzone.gateway.server import OPEN_ROUTES, ROUTES
+
+    doc = (REPO / "docs" / "api.md").read_text()
+    section = doc.split("\n## Routes\n", 1)[1].split("\n## ", 1)[0]
+    rows = [tuple(cell.strip() for cell in line.strip("|").split("|"))
+            for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0] == ("Method", "Path pattern", "Verb", "Token")
+    assert rows[1:] == [
+        (method, f"`{pattern}`", f"`:{verb}`" if verb else "",
+         "no" if (method, pattern) in OPEN_ROUTES else "yes")
+        for method, pattern, verb, _handler in ROUTES]
