@@ -18,15 +18,12 @@ each run, as JSON.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
+
+from common import arg_parser, machine, rotated, run, sources, write
 
 REPEATS = 5
 MODES = ("off", "flushed")
@@ -72,44 +69,24 @@ print(json.dumps(result))
 """
 
 
-def run(src: str, *args: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    return json.loads(subprocess.run(
-        [sys.executable, "-c", MEASURE, *args], env=env, check=True,
-        capture_output=True, text=True).stdout)
-
-
-def cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor()
-
-
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--src", action="append", required=True,
-                    help="NAME=PATH of a pgzone source tree; repeatable")
+    ap = arg_parser(__doc__)
     ap.add_argument("--calls", type=int, default=5000)
-    ap.add_argument("--out", type=Path)
-    ap.add_argument("--note", default="", help="what each NAME is")
     args = ap.parse_args()
-    srcs = dict(s.split("=", 1) for s in args.src)
+    srcs = sources(args)
     runs: dict[str, dict[str, dict[str, list[float]]]] = {
         name: {c: {m: [] for m in MODES}
                for c in ("audit_append", "object_put")} for name in srcs}
     digests: dict[str, set[tuple[int, str]]] = {m: set() for m in MODES}
     with tempfile.TemporaryDirectory(prefix="pgzone-commit-") as tmp:
-        for rep in range(REPEATS):  # interleaved: drift hits every cell alike
-            for name, src in srcs.items():
+        for rep in range(REPEATS):  # interleaved, each source first in turn
+            for name, src in rotated(list(srcs.items()), rep):
                 for mode in MODES:
                     journal_dir = ""
                     if mode == "flushed":
                         journal_dir = str(Path(tmp) / f"{name}-{rep}")
-                    got = run(src, journal_dir, str(args.calls))
+                    got = json.loads(
+                        run(src, MEASURE, journal_dir, str(args.calls)))
                     digests[mode].add((got["records"], got["digest"]))
                     for commit, per in runs[name].items():
                         per[mode].append(got[commit])
@@ -123,12 +100,7 @@ def main() -> None:
                 "100-byte object; journal off (in memory) and flushed "
                 "(a file, one unbuffered write per record, no fsync)",
         "fsynced": "not measured: the journal has no fsync mode",
-        "machine": platform.machine(),
-        "cpu": cpu_model(),
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-        "sources": list(srcs),
-        "note": args.note,
+        **machine(srcs, args.note),
         "calls": args.calls,
         "records": {m: next(iter(d))[0] for m, d in digests.items()},
         "commit_us_median": {
@@ -141,10 +113,7 @@ def main() -> None:
                    for c, per in commits.items()}
             for name, commits in runs.items()},
     }
-    text = json.dumps(result, indent=2) + "\n"
-    if args.out:
-        args.out.write_text(text)
-    print(text, end="")
+    write(result, args.out)
 
 
 if __name__ == "__main__":

@@ -13,16 +13,13 @@ data_state_digest(). Writes the medians, and each run, as JSON.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
 import shutil
 import statistics
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
+
+from common import arg_parser, machine, rotated, run, sources, write
 
 REPEATS = 3
 
@@ -49,22 +46,6 @@ zone.close()
 """
 
 
-def run(src: str, code: str, *args: str) -> str:
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          check=True, capture_output=True, text=True).stdout
-
-
-def cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor()
-
-
 def measure(srcs: dict[str, str], n: int, work: Path) -> dict:
     built = work / f"zone-{n}"
     run(next(iter(srcs.values())), BUILD, str(built), str(n))
@@ -75,8 +56,8 @@ def measure(srcs: dict[str, str], n: int, work: Path) -> dict:
     samples: dict[str, dict[str, list[float]]] = {
         name: {v: [] for v in variants} for name in srcs}
     digests, seqs = set(), set()
-    for _ in range(REPEATS):  # interleaved, so drift hits every cell alike
-        for name, src in srcs.items():
+    for rep in range(REPEATS):  # interleaved, each source first in turn
+        for name, src in rotated(list(srcs.items()), rep):
             for variant, path in variants.items():
                 got = json.loads(run(src, REOPEN, str(path)))
                 samples[name][variant].append(got["s"])
@@ -101,32 +82,20 @@ def measure(srcs: dict[str, str], n: int, work: Path) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--src", action="append", required=True,
-                    help="NAME=PATH of a pgzone source tree; repeatable")
+    ap = arg_parser(__doc__)
     ap.add_argument("--objects", type=int, nargs="+", default=[25000, 50000])
-    ap.add_argument("--out", type=Path)
-    ap.add_argument("--note", default="", help="what each NAME is")
     args = ap.parse_args()
-    srcs = dict(s.split("=", 1) for s in args.src)
+    srcs = sources(args)
     with tempfile.TemporaryDirectory(prefix="pgzone-recovery-") as tmp:
         sizes = [measure(srcs, n, Path(tmp)) for n in args.objects]
     result = {
         "what": "seconds to reopen a journaled zone (Zone(journal_dir)), "
                 f"median of {REPEATS} fresh processes; mem driver, "
                 "100-byte blobs, one put per object",
-        "machine": platform.machine(),
-        "cpu": cpu_model(),
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-        "sources": list(srcs),
-        "note": args.note,
+        **machine(srcs, args.note),
         "sizes": sizes,
     }
-    text = json.dumps(result, indent=2) + "\n"
-    if args.out:
-        args.out.write_text(text)
-    print(text, end="")
+    write(result, args.out)
 
 
 if __name__ == "__main__":

@@ -23,14 +23,10 @@ by REFERENCE_NS over their mean: microseconds at the reference speed.
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
-import sys
-from pathlib import Path
+
+from common import arg_parser, machine, rotated, run, sources, write
 
 REPEATS = 8
 RECORDS = 100
@@ -108,33 +104,12 @@ print(json.dumps(result))
 """
 
 
-def run(src: str, *args: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    return json.loads(subprocess.run(
-        [sys.executable, "-c", MEASURE, *args], env=env, check=True,
-        capture_output=True, text=True).stdout)
-
-
-def cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor()
-
-
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--src", action="append", required=True,
-                    help="NAME=PATH of a pgzone source tree; repeatable")
+    ap = arg_parser(__doc__)
     ap.add_argument("--segments", type=int, nargs="+", default=[100, 1000])
     ap.add_argument("--reads", type=int, default=500)
-    ap.add_argument("--out", type=Path)
-    ap.add_argument("--note", default="", help="what each NAME is")
     args = ap.parse_args()
-    srcs = dict(s.split("=", 1) for s in args.src)
+    srcs = sources(args)
     kinds = ("ingest_us", "read_us")
     runs = {name: {k: {n: [] for n in args.segments} for k in kinds}
             for name in srcs}
@@ -143,13 +118,10 @@ def main() -> None:
     for rep in range(REPEATS):
         # Interleaved, each source and each size first in turn: the
         # machine's drift in speed hits every cell alike.
-        order = list(srcs.items())
-        order = order[rep % len(order):] + order[:rep % len(order)]
-        sizes = args.segments[rep % len(args.segments):] \
-            + args.segments[:rep % len(args.segments)]
-        for n in sizes:
-            for name, src in order:
-                got = run(src, str(n), str(args.reads), str(RECORDS))
+        for n in rotated(args.segments, rep):
+            for name, src in rotated(list(srcs.items()), rep):
+                got = json.loads(run(src, MEASURE, str(n), str(args.reads),
+                                     str(RECORDS)))
                 reads[n].add((got["records_per_read"], got["digest"]))
                 for kind in kinds:
                     runs[name][kind][n].append(got[kind])
@@ -163,12 +135,7 @@ def main() -> None:
                 f"driver; {args.reads} reads of an interval about 3 "
                 "segments wide at each size, then size // 10 (at least "
                 "20) ingests",
-        "machine": platform.machine(),
-        "cpu": cpu_model(),
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-        "sources": list(srcs),
-        "note": args.note,
+        **machine(srcs, args.note),
         "segments": args.segments,
         "records_per_read": {n: next(iter(r))[0] for n, r in reads.items()},
         "us_median": {
@@ -181,10 +148,7 @@ def main() -> None:
                    for k, per in kinds_.items()}
             for name, kinds_ in runs.items()},
     }
-    text = json.dumps(result, indent=2) + "\n"
-    if args.out:
-        args.out.write_text(text)
-    print(text, end="")
+    write(result, args.out)
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from __future__ import annotations
 import threading
 import urllib.error
 import urllib.request
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -211,9 +212,8 @@ def _ms_set_avu(ctx: MsContext, *args: Value) -> Value:
 
 
 def _ms_checksum(ctx: MsContext, *args: Value) -> Value:
-    path = ctx.resolve(args[0])
-    data = ctx.engine.read_object(ctx.actor, path)
-    return sha256_hex(data)
+    _data, checksum = ctx.engine.read_object(ctx.actor, ctx.resolve(args[0]))
+    return checksum
 
 
 def _ms_replicate_to(ctx: MsContext, *args: Value) -> Value:
@@ -263,7 +263,7 @@ READING_MICROSERVICES = frozenset({"checksum", "replicate_to"})
 # Chain execution
 # --------------------------------------------------------------------------
 
-class _Scope(Mapping):
+class _Scope:
     """Variable environment for chain evaluation: locals layered over
     the read-only bindings the engine supplies at the firing."""
 
@@ -275,15 +275,6 @@ class _Scope(Mapping):
         if name in self.locals:
             return self.locals[name]
         return self.system[name]
-
-    def __iter__(self):
-        yield from self.locals
-        for k in self.system:
-            if k not in self.locals:
-                yield k
-
-    def __len__(self) -> int:
-        return len(set(self.system) | set(self.locals))
 
     def bind(self, name: str, value: Value) -> None:
         self.locals[name] = value
@@ -336,7 +327,9 @@ class Engine:
         self._compiled: dict[str, list[RuleAst]] = {}
         self._compiled_version = -1
         self._compile_lock = threading.Lock()
-        self._path_locks: dict[str, threading.RLock] = {}
+        # A path's lock lives while someone holds or waits for it, so
+        # the map holds only the locks in use.
+        self._path_locks = weakref.WeakValueDictionary()
         self._path_locks_guard = threading.Lock()
         self.run_lock = threading.Lock()  # serializes procedure runs
         self._fetch_lock = threading.Lock()
@@ -582,10 +575,10 @@ class Engine:
         self.catalog.add_orphan(path, replica.resource,
                                 replica.physical_ref, replica.checksum)
 
-    def read_object(self, actor: str, path: str) -> bytes:
-        """Authorized read returning verified bytes; replicas whose bytes
-        no longer hash to their recorded checksum are marked suspect and
-        skipped."""
+    def read_object(self, actor: str, path: str) -> tuple[bytes, str]:
+        """Authorized read returning verified bytes and the checksum they
+        were verified against; replicas whose bytes no longer hash to
+        their recorded checksum are marked suspect and skipped."""
         with self._path_lock(path):
             obj = self.catalog.get_object(path)
             self.catalog.require_access(path, actor, "read")
@@ -603,7 +596,7 @@ class Engine:
                     rec = current_recorder()
                     if rec is not None:
                         rec.record_read(path, replica.checksum)
-                    return data
+                    return data, replica.checksum
                 self.catalog.set_replica_status(
                     path, replica.physical_ref, "suspect")
             raise AllReplicasSuspect(path)
@@ -628,8 +621,7 @@ class Engine:
         if any(r.resource == dest_resource for r in obj.replicas):
             raise DuplicateReplica(
                 f"{path!r} already has a replica on {dest_resource!r}")
-        data = self.read_object(actor, path)
-        checksum = sha256_hex(data)
+        data, checksum = self.read_object(actor, path)
         driver, root = self._driver_for(dest_resource)
         ref = driver.new_ref(root)
         driver.store(ref, data)
@@ -668,7 +660,7 @@ class Engine:
             obj = self.catalog.get_object(path)  # NoSuchObject if absent
             with self.trapped("data.get", actor, **{
                     "obj.path": path, "obj.owner": obj.owner}):
-                data = self.read_object(actor, path)
+                data, _checksum = self.read_object(actor, path)
             return data
 
     def remove(self, actor: str, path: str) -> None:

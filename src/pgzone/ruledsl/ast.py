@@ -16,6 +16,16 @@ Value = Union[str, int, bool, list]
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
+# How tightly each operator binds; a higher number binds tighter, and
+# every binary operator is left-associative. This is the one place the
+# order is set: the parser climbs this table and the printer reads it.
+BINARY_PREC = {
+    "||": 1, "&&": 2,
+    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3, "matches": 3,
+    "+": 4, "-": 4, "*": 5, "/": 5,
+}
+_UNARY_PREC = 6
+
 
 @dataclass(frozen=True)
 class Lit:

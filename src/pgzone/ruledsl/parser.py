@@ -1,15 +1,24 @@
 """Recursive-descent parser for rules and procedures.
 
+Binary operators are parsed by precedence climbing over
+ast.BINARY_PREC, the one place their binding strengths are set; the
+printer reads the same table.
+
 Total over arbitrary input: every malformed program raises ParseError
 carrying line, column, and the expected-token set. A depth guard keeps
 deeply nested input from hitting the interpreter recursion limit, so the
 parser never crashes: it either returns a tree or raises ParseError.
+Each chain, expression and operand counts one level toward it; the climb
+through the few precedence levels between them does not.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..errors import ParseError
 from .ast import (
+    BINARY_PREC,
     INT64_MAX,
     INT64_MIN,
     Allow,
@@ -37,8 +46,6 @@ SYSTEM_VARS = frozenset({
 })
 
 _MAX_DEPTH = 200
-
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 class _Parser:
@@ -131,26 +138,7 @@ class _Parser:
     def parse_procedure(self) -> ProcedureAst:
         self.expect_kw("procedure")
         name = self.expect_name("procedure name").value
-        self.expect_op("(")
-        params: list[str] = []
-        if not self.at_op(")"):
-            while True:
-                tok = self.peek()
-                if tok.kind != "VAR":
-                    raise self.fail(("parameter",))
-                if "." in tok.value:
-                    raise ParseError("parameter must be a simple name",
-                                     tok.line, tok.column)
-                if tok.value in params:
-                    raise ParseError(f"duplicate parameter '${tok.value}'",
-                                     tok.line, tok.column)
-                params.append(tok.value)
-                self.advance()
-                if self.at_op(","):
-                    self.advance()
-                    continue
-                break
-        self.expect_op(")")
+        params = self._comma_list(self._param)
         self.expect_op("{")
         body = self.parse_chain()
         self.expect_op("}")
@@ -159,6 +147,36 @@ class _Parser:
         proc = ProcedureAst(name=name, params=params, body=body)
         self._check_references(proc)
         return proc
+
+    def _param(self, params: list[str]) -> str:
+        tok = self._simple_var("parameter")
+        if tok.value in params:
+            raise ParseError(f"duplicate parameter '${tok.value}'",
+                             tok.line, tok.column)
+        return tok.value
+
+    def _comma_list(self, parse_one: Callable[[list], object]) -> list:
+        """A parenthesized, comma-separated list, possibly empty;
+        parse_one is handed the items parsed so far."""
+        self.expect_op("(")
+        items: list = []
+        if not self.at_op(")"):
+            items.append(parse_one(items))
+            while self.at_op(","):
+                self.advance()
+                items.append(parse_one(items))
+        self.expect_op(")")
+        return items
+
+    def _simple_var(self, what: str) -> Token:
+        """A `$name` without dots; what names it in the error texts."""
+        tok = self.peek()
+        if tok.kind != "VAR":
+            raise self.fail((what,))
+        if "." in tok.value:
+            raise ParseError(f"{what} must be a simple name",
+                             tok.line, tok.column)
+        return self.advance()
 
     def _signed_int(self) -> int:
         negative = False
@@ -207,12 +225,9 @@ class _Parser:
                                  tok.line, tok.column)
             self.advance()
             self.expect_op("=")
-            rhs_tok = self.peek()
-            if rhs_tok.kind == "NAME":
-                value = self.parse_call()
-            else:
-                value = self.parse_expr()
-            self._note_assignment(tok.value)
+            value = self.parse_call() if self.peek().kind == "NAME" \
+                else self.parse_expr()
+            self._assigned.add(tok.value)
             return Assign(target=tok.value, value=value)
         if self.at_kw("allow"):
             self.advance()
@@ -243,134 +258,77 @@ class _Parser:
             return If(cond=cond, then=then, orelse=orelse)
         if self.at_kw("foreach"):
             self.advance()
-            var_tok = self.peek()
-            if var_tok.kind != "VAR":
-                raise self.fail(("loop variable",))
-            if "." in var_tok.value:
-                raise ParseError("loop variable must be a simple name",
-                                 var_tok.line, var_tok.column)
-            self.advance()
+            var = self._simple_var("loop variable").value
             self.expect_kw("in")
             items_expr = self.parse_expr()
             self.expect_op("{")
-            self._note_assignment(var_tok.value)
+            self._assigned.add(var)
             body = self.parse_chain()
             self.expect_op("}")
-            return Foreach(var=var_tok.value, items=items_expr, body=body)
+            return Foreach(var=var, items=items_expr, body=body)
         raise self.fail(("call", "assignment", "'if'", "'foreach'",
                          "'allow'", "'deny'"))
 
     def parse_call(self) -> Call:
         name = self.expect_name("micro-service name").value
-        self.expect_op("(")
-        args: list[Expr] = []
-        if not self.at_op(")"):
-            while True:
-                args.append(self.parse_expr())
-                if self.at_op(","):
-                    self.advance()
-                    continue
-                break
-        self.expect_op(")")
+        args = self._comma_list(lambda _args: self.parse_expr())
         return Call(name=name, args=tuple(args))
 
-    # -- expressions (precedence: ! > */ > +- > cmp/matches > && > ||) ----
+    # -- expressions ---------------------------------------------------------
 
     def parse_expr(self) -> Expr:
         self._enter()
         try:
-            return self._parse_or()
+            return self._parse_binary(1)
         finally:
             self._leave()
 
-    def _parse_or(self) -> Expr:
-        node = self._parse_and()
-        while self.at_op("||"):
-            self.advance()
-            node = Binary("||", node, self._parse_and())
-        return node
-
-    def _parse_and(self) -> Expr:
-        node = self._parse_cmp()
-        while self.at_op("&&"):
-            self.advance()
-            node = Binary("&&", node, self._parse_cmp())
-        return node
-
-    def _parse_cmp(self) -> Expr:
-        node = self._parse_add()
-        while self.at_op(*_CMP_OPS) or self.at_kw("matches"):
-            op = self.advance().value
-            node = Binary(op, node, self._parse_add())
-        return node
-
-    def _parse_add(self) -> Expr:
-        node = self._parse_mul()
-        while self.at_op("+", "-"):
-            op = self.advance().value
-            node = Binary(op, node, self._parse_mul())
-        return node
-
-    def _parse_mul(self) -> Expr:
+    def _parse_binary(self, min_prec: int) -> Expr:
+        """Precedence climbing: operands joined by the operators that
+        bind at least min_prec tightly. The right operand of an operator
+        takes only tighter ones, so equal ones group to the left."""
         node = self._parse_unary()
-        while self.at_op("*", "/"):
-            op = self.advance().value
-            node = Binary(op, node, self._parse_unary())
-        return node
+        while True:
+            tok = self.peek()  # not a string "+" nor a $matches
+            prec = BINARY_PREC.get(tok.value, 0) \
+                if tok.kind in ("OP", "KEYWORD") else 0
+            if prec < min_prec:
+                return node
+            self.advance()
+            node = Binary(tok.value, node, self._parse_binary(prec + 1))
 
     def _parse_unary(self) -> Expr:
+        """An operand: `!` before an operand, a literal, a variable, or
+        an expression in parentheses."""
         self._enter()
         try:
+            tok = self.peek()
             if self.at_op("!"):
                 self.advance()
                 return Unary("!", self._parse_unary())
-            return self._parse_primary()
+            if tok.kind == "INT" or (self.at_op("-") and
+                                     self.tokens[self.pos + 1].kind == "INT"):
+                return Lit(self._signed_int())
+            if tok.kind == "STRING":
+                self.advance()
+                return Lit(tok.value)
+            if self.at_kw("true", "false"):
+                self.advance()
+                return Lit(tok.value == "true")
+            if tok.kind == "VAR":
+                self.advance()
+                self.var_refs.append(tok)
+                return Var(tok.value)
+            if self.at_op("("):
+                self.advance()
+                node = self.parse_expr()
+                self.expect_op(")")
+                return node
+            raise self.fail(("expression",))
         finally:
             self._leave()
 
-    def _parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            if tok.int_value > INT64_MAX:
-                raise ParseError("integer literal out of range",
-                                 tok.line, tok.column)
-            return Lit(tok.int_value)
-        if tok.kind == "OP" and tok.value == "-":
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == "INT":
-                self.advance()
-                self.advance()
-                value = -nxt.int_value
-                if value < INT64_MIN:
-                    raise ParseError("integer literal out of range",
-                                     nxt.line, nxt.column)
-                return Lit(value)
-            raise self.fail(("expression",))
-        if tok.kind == "STRING":
-            self.advance()
-            return Lit(tok.value)
-        if self.at_kw("true"):
-            self.advance()
-            return Lit(True)
-        if self.at_kw("false"):
-            self.advance()
-            return Lit(False)
-        if tok.kind == "VAR":
-            self.advance()
-            self.var_refs.append(tok)
-            return Var(tok.value)
-        if tok.kind == "OP" and tok.value == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        raise self.fail(("expression",))
-
     # -- static reference check for procedures ---------------------------
-
-    def _note_assignment(self, name: str) -> None:
-        self._assigned.add(name)
 
     def _check_references(self, proc: ProcedureAst) -> None:
         declared = set(proc.params) | self._assigned

@@ -9,6 +9,8 @@ requires them.
 from __future__ import annotations
 
 from .ast import (
+    _UNARY_PREC,
+    BINARY_PREC,
     Allow,
     Assign,
     Binary,
@@ -24,13 +26,6 @@ from .ast import (
     Unary,
     Var,
 )
-
-_PREC = {
-    "||": 1, "&&": 2,
-    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3, "matches": 3,
-    "+": 4, "-": 4, "*": 5, "/": 5,
-}
-_UNARY_PREC = 6
 
 
 def escape_string(s: str) -> str:
@@ -54,7 +49,7 @@ def print_expr(expr: Expr, parent_prec: int = 0) -> str:
         text = f"{expr.op}{inner}"
         return f"({text})" if _UNARY_PREC < parent_prec else text
     if isinstance(expr, Binary):
-        prec = _PREC[expr.op]
+        prec = BINARY_PREC[expr.op]
         left = print_expr(expr.left, prec)
         right = print_expr(expr.right, prec + 1)
         text = f"{left} {expr.op} {right}"

@@ -23,13 +23,17 @@ in the table of each segment it draws from and slices out only those
 records, but still reads the segment through Engine.read_object, which
 checks access and verifies the checksum.
 
-A table holds for one checksum of its segment. The index is built from
-the segment bytes when it is missing, and built again, keeping every
-table whose segment still has its checksum, when the catalog has put or
-removed an object in the collection other than by an ingest: a put over
-a segment re-indexes that segment, and a removed one leaves the index
-with its table. A read that finds a segment's checksum changed since
-the index was checked builds it again and starts over.
+A table holds for one checksum of its segment: the one Engine.read_object
+verified the scanned bytes against. The index is built from the segment
+bytes when it is missing, and built again, keeping every table whose
+segment still has its checksum, when the catalog has put or removed an
+object in the collection other than by an ingest: a put over a segment
+re-indexes that segment, and a removed one leaves the index with its
+table. A segment whose bytes are not a valid segment (a put of other
+bytes over it) is left out of the index, with a warning on the
+pgzone.streams logger, until a valid put over it brings it back. A read
+that finds a segment's checksum changed since the index was checked
+builds it again and starts over.
 
 Queries are half-open [t_lo, t_hi); the global record order is
 (timestamp, segment id, position in segment), so replaying overlapping
@@ -40,6 +44,7 @@ already in that order and are joined; otherwise they are merged.
 
 from __future__ import annotations
 
+import logging
 import struct
 import threading
 from array import array
@@ -57,6 +62,8 @@ from .errors import (
     NotAStreamCollection,
     TimestampsDecreasing,
 )
+
+log = logging.getLogger("pgzone.streams")
 
 _HEADER = struct.Struct(">QI")
 _HEADER_SIZE = _HEADER.size
@@ -266,15 +273,17 @@ class Streams:
             segment_id = _segment_id(path)
             if segment_id is None:
                 continue
-            with self.engine._path_lock(path):
-                try:
-                    checksum = self.catalog.get_object(path).checksum
-                except NoSuchObject:  # removed since the listing
-                    continue
-                table = kept.get(path)
-                if table is None or table.checksum != checksum:
-                    table = _Frames(checksum, *scan_segment(
-                        self.engine.read_object(SYSTEM, path)))
+            table = kept.get(path)
+            try:
+                if table is None or table.checksum != \
+                        self.catalog.get_object(path).checksum:
+                    data, checksum = self.engine.read_object(SYSTEM, path)
+                    table = _Frames(checksum, *scan_segment(data))
+            except NoSuchObject:  # removed since the listing
+                continue
+            except (BadFraming, TimestampsDecreasing) as e:
+                log.warning("segment %s left out of the index: %s", path, e)
+                continue
             frames[path] = table
             entries.append(SegmentEntry(
                 segment_id=segment_id, path=path, t_min=table.stamps[0],
@@ -287,13 +296,11 @@ class Streams:
     def _segment_bytes(self, path: str, checksum: str) -> bytes | None:
         """The segment's verified bytes, or None when it no longer has
         the checksum: it was put over or removed."""
-        with self.engine._path_lock(path):
-            try:
-                if self.catalog.get_object(path).checksum != checksum:
-                    return None
-            except NoSuchObject:
-                return None
-            return self.engine.read_object(SYSTEM, path)
+        try:
+            data, got = self.engine.read_object(SYSTEM, path)
+        except NoSuchObject:
+            return None
+        return data if got == checksum else None
 
     def drop_index(self, coll: str | None = None) -> None:
         with self._index_lock:

@@ -1,5 +1,8 @@
 import io
 import re
+import sys
+import threading
+import time
 
 import pytest
 
@@ -410,6 +413,41 @@ def test_get_skips_corrupt_replica_and_marks_suspect(zone):
     statuses = {r.resource: r.status
                 for r in zone.catalog.get_object("/home/u/f").replicas}
     assert statuses == {"main": "suspect", "r2": "good"}
+
+
+def test_read_object_returns_the_checksum_it_verified(zone):
+    add_user(zone, "u")
+    zone.engine.put("u", "/home/u/f", b"payload")
+    assert zone.engine.read_object("u", "/home/u/f") == (
+        b"payload", sha256_hex(b"payload"))
+    assert zone.engine.get("u", "/home/u/f") == b"payload"
+
+
+def test_path_locks_exclude_under_contention_and_then_go(zone):
+    counts = {"/a": 0, "/b": 0}
+
+    def bump(path):
+        for _ in range(300):
+            with zone.engine._path_lock(path):
+                with zone.engine._path_lock(path):  # re-entrant
+                    seen = counts[path]
+                    time.sleep(0)
+                    counts[path] = seen + 1
+
+    threads = [threading.Thread(target=bump, args=(path,))
+               for path in ("/a", "/b") * 3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert counts == {"/a": 900, "/b": 900}
+    assert len(zone.engine._path_locks) == 0
 
 
 def test_all_replicas_suspect(zone):

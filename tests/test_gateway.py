@@ -618,6 +618,15 @@ def test_cli_bad_credentials_exit_2(gw, tmp_path):
     assert main([*base, "get", "/no/such/object", "-"]) == 1
 
 
+def test_cli_usage_error_exits_1(capsys):
+    """A usage error exits 1, not argparse's 2, which means 401/403."""
+    assert main(["stream", "read", "/x", "0", "1", "./out.bin"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+
+
 REPO = Path(__file__).resolve().parent.parent
 
 

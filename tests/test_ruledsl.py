@@ -9,6 +9,7 @@ from pgzone.errors import (
     UnboundVariable,
 )
 from pgzone.ruledsl import (
+    Allow,
     Assign,
     Binary,
     Call,
@@ -25,7 +26,7 @@ from pgzone.ruledsl import (
     pretty_print,
     print_rule,
 )
-from pgzone.ruledsl.ast import INT64_MAX, INT64_MIN
+from pgzone.ruledsl.ast import BINARY_PREC, INT64_MAX, INT64_MIN
 from pgzone.ruledsl.lexer import tokenize
 
 # ---------------------------------------------------------------------------
@@ -186,6 +187,18 @@ def test_parser_depth_guard():
     assert "nesting" in str(e.value)
 
 
+@pytest.mark.parametrize("op", ["+", "||"])
+def test_parser_depth_guard_counts_parentheses_not_levels(op):
+    # Only each expression and operand count toward the guard, not the
+    # precedence levels between them: 99 nested operands still parse.
+    def nested(depth):
+        inner = f"1 {op} (" * depth + "1" + ")" * depth
+        return f"rule r on pep.data.get.pre when {inner} do allow()"
+    assert len(parse_rules(nested(99))) == 1
+    with pytest.raises(ParseError, match="nesting"):
+        parse_rules(nested(100))
+
+
 def test_parse_error_expected_set():
     with pytest.raises(ParseError) as e:
         parse_rules('rule r on pep.data.get.pre allow()')
@@ -234,6 +247,23 @@ def test_printer_parenthesizes_only_when_needed():
     text = print_rule(rule)
     assert "($a + $b) * $c" in text
     assert "== $a + $b * $c" in text
+
+
+def test_every_operator_pair_round_trips():
+    # Each ordered pair of binary operators, the inner one nested on the
+    # left and on the right: the printer's parentheses must match how
+    # tightly the parser binds, whatever the two precedences.
+    a, b, c = Var("a"), Var("b"), Var("c")
+    trees = []
+    for outer in BINARY_PREC:
+        for inner in BINARY_PREC:
+            trees.append(Binary(outer, Binary(inner, a, b), c))
+            trees.append(Binary(outer, a, Binary(inner, b, c)))
+    assert len(trees) == 338
+    for tree in trees:
+        rule = RuleAst(name="r", pep="pep.data.get.pre", condition=tree,
+                       actions=[Allow()])
+        assert parse_rules(print_rule(rule)) == [rule], print_rule(rule)
 
 
 def test_printer_escapes_strings():

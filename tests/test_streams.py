@@ -333,6 +333,39 @@ def test_put_over_a_segment_reindexes_it(zone):
                        "t_max": 50}
 
 
+def test_an_unreadable_segment_is_left_out_of_the_index(zone, caplog):
+    coll = make_stream(zone)
+    first = zone.streams.ingest(ADMIN, coll,
+                                pack_records([(10, b"a"), (20, b"b")]))
+    zone.streams.ingest(ADMIN, coll, pack_records([(30, b"c")]))
+    assert zone.streams.stat(ADMIN, coll)["records"] == 3  # index built
+    with caplog.at_level("WARNING", logger="pgzone.streams"):
+        zone.engine.put(ADMIN, first.path, b"garbage")
+        assert zone.streams.read(ADMIN, coll, 5, 100) == [(30, b"c")]
+    assert first.path in caplog.text
+    assert zone.streams.read_framed(ADMIN, coll, 0, 100) == \
+        pack_records([(30, b"c")])
+    assert zone.streams.stat(ADMIN, coll) == {
+        "segments": 1, "records": 1, "t_min": 30, "t_max": 30}
+    # A valid put over it brings it back.
+    zone.engine.put(ADMIN, first.path, pack_records([(15, b"back")]))
+    assert zone.streams.read(ADMIN, coll, 5, 100) == [(15, b"back"),
+                                                       (30, b"c")]
+    assert zone.streams.stat(ADMIN, coll)["segments"] == 2
+
+
+def test_path_locks_live_only_while_held(zone):
+    coll = make_stream(zone)
+    for i in range(5):
+        zone.engine.put(ADMIN, f"/home/o{i}", b"x" * i)
+        zone.engine.get(ADMIN, f"/home/o{i}")
+        zone.streams.ingest(ADMIN, coll, pack_records([(i, b"r")]))
+        zone.streams.read(ADMIN, coll, 0, 100)
+    zone.streams.drop_index()
+    assert zone.streams.stat(ADMIN, coll)["segments"] == 5  # a rebuild
+    assert len(zone.engine._path_locks) == 0
+
+
 def test_ingest_over_an_object_put_under_its_name(zone):
     coll = make_stream(zone)
     zone.streams.ingest(ADMIN, coll, pack_records([(1, b"a")]))
