@@ -692,6 +692,12 @@ class Catalog:
 
     def add_avu(self, caller: str, path: str, name: str, value: str,
                 comment: str = "") -> None:
+        # Checked before the commit: a journaled triple that is not
+        # three strings fails its apply on every replay or breaks queries.
+        if not (isinstance(name, str) and isinstance(value, str)
+                and isinstance(comment, str)):
+            raise ValueError("attribute name, value and comment must be "
+                             "strings")
         if not name:
             raise ValueError("attribute name must be non-empty")
         with self._lock:

@@ -1,9 +1,13 @@
 """The pg command-line tool.
 
 Talks to a gateway over HTTP for everything except `pg serve`, which
-runs the gateway itself. Exit codes: 0 success, 1 usage or request
-error, 2 bad credentials (401) or denied (403), 3 server (5xx) or
-transport failure.
+runs the gateway itself. A client command is one row of COMMANDS: its
+words, help, arguments and the one ZoneClient call it makes;
+build_parser turns each row into a subcommand. `serve` and `login` are
+not client calls and are built by hand.
+
+Exit codes: 0 success, 1 usage or request error, 2 bad credentials
+(401) or denied (403), 3 server (5xx) or transport failure.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import argparse
 import getpass
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -69,155 +72,135 @@ def _secret_from(args, prompt: str) -> str:
     return getpass.getpass(prompt)
 
 
-# ---------------------------------------------------------------------------
-# Command implementations: each takes (client, args) and returns a payload
-# to print (or None when it already produced output).
-# ---------------------------------------------------------------------------
-
-def _cmd_ping(client, args):
-    return client.ping()
-
-
-def _cmd_put(client, args):
-    return client.put(args.path, _read_input(args.file), args.resource)
-
-
-def _cmd_get(client, args):
-    _write_output(args.file, client.get(args.path))
-    return None
-
-
-def _cmd_rm(client, args):
-    return client.remove(args.path)
-
-
-def _cmd_mkdir(client, args):
-    return client.make_collection(args.path, args.kind)
-
-
-def _cmd_ls(client, args):
-    return client.list_collection(args.path)
-
-
-def _cmd_stat(client, args):
-    return client.stat(args.path)
-
-
-def _cmd_copy(client, args):
-    # The command is the client method: replicate, stage or archive.
-    return getattr(client, args.command)(args.path, args.resource)
-
-
-def _cmd_verify(client, args):
-    return client.verify(args.path)
-
-
-def _cmd_meta_add(client, args):
-    return client.meta_add(args.path, args.name, args.value,
-                           args.comment or "")
-
-
-def _cmd_meta_ls(client, args):
-    return client.meta_list(args.path)
-
-
-def _cmd_meta_query(client, args):
-    return {"paths": client.meta_query(args.query)}
-
-
-def _cmd_rule_add(client, args):
-    return client.add_rules(_read_input(args.file).decode("utf-8"))
-
-
-def _cmd_rule_list(client, args):
-    return client.rules()
-
-
-def _cmd_rule_rm(client, args):
-    return client.remove_rule(args.name)
-
-
-def _cmd_wf_attach(client, args):
-    return client.attach_workflow(args.coll,
-                                  _read_input(args.file).decode("utf-8"))
-
-
-def _cmd_wf_show(client, args):
-    return client.workflow(args.workflow_id)
-
-
-def _cmd_wf_run(client, args):
-    return client.run(args.workflow_id, _bindings(args.bind))
-
-
-def _cmd_wf_rerun(client, args):
-    return client.rerun(args.run_id, _bindings(args.bind))
-
-
-def _cmd_wf_record(client, args):
-    return client.run_record(args.run_id)
-
-
-def _cmd_wf_diff(client, args):
-    return client.diff_runs(args.a, args.b)
-
-
-def _cmd_stream_ingest(client, args):
-    return client.stream_ingest(args.coll, _read_input(args.file),
-                                args.resource)
-
-
-def _cmd_stream_read(client, args):
-    data = client.stream_read(args.coll, args.t_from, args.t_to)
-    _write_output(args.output, data)
-    return None
-
-
-def _cmd_stream_stat(client, args):
-    return client.stream_stat(args.coll)
-
-
-def _cmd_adduser(client, args):
-    return client.create_user(args.name, args.role,
-                              _secret_from(args, "new user secret: "))
-
-
-def _cmd_addgroup(client, args):
-    return client.add_group(args.user, args.group)
-
-
-def _cmd_mkresc(client, args):
-    return client.register_resource(args.name, args.driver, args.root,
-                                    args.kind)
-
-
-def _cmd_lsresc(client, args):
-    return {"resources": client.resources()}
-
-
-def _cmd_acl(client, args):
-    return client.set_acl(args.path, args.principal, args.perm)
-
-
-def _cmd_audit(client, args):
-    return {"entries": client.audit(
-        event=args.event, actor=args.actor,
-        **{"from": args.t_from, "to": args.t_to})}
-
-
-def _cmd_orphans(client, args):
-    return {"orphans": client.orphans()}
-
-
-def _cmd_addms(client, args):
-    return client.register_microservice(
-        args.name, _read_input(args.file).decode("utf-8"),
-        args.min_args, args.max_args)
-
-
-def _cmd_adddriver(client, args):
-    return client.register_driver(
-        args.name, _read_input(args.file).decode("utf-8"))
+def _text(arg: str | None) -> str:
+    return _read_input(arg).decode("utf-8")
+
+
+def _arg(*flags: str, **options) -> tuple:
+    """One argument of a command: argparse's name or flags, and options."""
+    return flags, options
+
+
+_PATH = _arg("path")
+_COLL = _arg("coll")
+_RUN_ID = _arg("run_id")
+_WORKFLOW_ID = _arg("workflow_id")
+_RESOURCE = _arg("--resource")
+_BIND = _arg("--bind", action="append", metavar="NAME=VALUE")
+
+GROUP_HELP = {
+    "meta": "metadata",
+    "rule": "policy rules",
+    "wf": "procedures and runs",
+    "stream": "time series",
+    "admin": "administration",
+}
+
+# The client commands: (words, help, arguments, call). `call(client,
+# args)` makes the one ZoneClient call and returns the payload to print,
+# or None when it wrote its own output.
+COMMANDS = (
+    ("ping", "check the gateway", (), lambda c, a: c.ping()),
+    ("put", "upload a data object",
+     (_PATH, _arg("file", nargs="?", help="local file, '-' for stdin"),
+      _RESOURCE),
+     lambda c, a: c.put(a.path, _read_input(a.file), a.resource)),
+    ("get", "download a data object",
+     (_PATH, _arg("file", nargs="?", help="local file, '-' for stdout")),
+     lambda c, a: _write_output(a.file, c.get(a.path))),
+    ("rm", "remove a data object", (_PATH,),
+     lambda c, a: c.remove(a.path)),
+    ("mkdir", "create a collection",
+     (_PATH, _arg("--kind", default="plain",
+                  choices=["plain", "stream", "workflow"])),
+     lambda c, a: c.make_collection(a.path, a.kind)),
+    ("ls", "list a collection", (_PATH,),
+     lambda c, a: c.list_collection(a.path)),
+    ("stat", "show object record", (_PATH,), lambda c, a: c.stat(a.path)),
+    ("replicate", "replicate an object onto a resource",
+     (_PATH, _arg("resource")),
+     lambda c, a: c.replicate(a.path, a.resource)),
+    ("stage", "stage an object onto a resource", (_PATH, _arg("resource")),
+     lambda c, a: c.stage(a.path, a.resource)),
+    ("archive", "archive an object onto a resource",
+     (_PATH, _arg("resource")),
+     lambda c, a: c.archive(a.path, a.resource)),
+    ("verify", "re-hash all replicas of an object", (_PATH,),
+     lambda c, a: c.verify(a.path)),
+    ("meta add", "attach a name/value/comment triple",
+     (_PATH, _arg("name"), _arg("value"), _arg("comment", nargs="?")),
+     lambda c, a: c.meta_add(a.path, a.name, a.value, a.comment or "")),
+    ("meta ls", "list an object's or collection's triples", (_PATH,),
+     lambda c, a: c.meta_list(a.path)),
+    ("meta query", "find the paths whose triples match a query",
+     (_arg("query"),),
+     lambda c, a: {"paths": c.meta_query(a.query)}),
+    ("rule add", "add the rules of a file",
+     (_arg("file", nargs="?", help="rule file, '-' for stdin"),),
+     lambda c, a: c.add_rules(_text(a.file))),
+    ("rule list", "list the rules", (), lambda c, a: c.rules()),
+    ("rule rm", "remove a rule", (_arg("name"),),
+     lambda c, a: c.remove_rule(a.name)),
+    ("wf attach", "attach a procedure to a collection",
+     (_COLL, _arg("file", nargs="?", help="procedure file, '-' for stdin")),
+     lambda c, a: c.attach_workflow(a.coll, _text(a.file))),
+    ("wf show", "show a procedure", (_WORKFLOW_ID,),
+     lambda c, a: c.workflow(a.workflow_id)),
+    ("wf run", "run a procedure", (_WORKFLOW_ID, _BIND),
+     lambda c, a: c.run(a.workflow_id, _bindings(a.bind))),
+    ("wf rerun", "run a recorded run again", (_RUN_ID, _BIND),
+     lambda c, a: c.rerun(a.run_id, _bindings(a.bind))),
+    ("wf record", "show a run's record", (_RUN_ID,),
+     lambda c, a: c.run_record(a.run_id)),
+    ("wf diff", "compare two runs", (_arg("a"), _arg("b")),
+     lambda c, a: c.diff_runs(a.a, a.b)),
+    ("stream ingest", "add a segment to a stream",
+     (_COLL, _arg("file", nargs="?", help="segment file, '-' for stdin"),
+      _RESOURCE),
+     lambda c, a: c.stream_ingest(a.coll, _read_input(a.file), a.resource)),
+    ("stream read", "read the records of a time interval",
+     (_COLL, _arg("t_from", type=int), _arg("t_to", type=int),
+      _arg("-o", "--output", help="local file, '-' for stdout")),
+     lambda c, a: _write_output(
+         a.output, c.stream_read(a.coll, a.t_from, a.t_to))),
+    ("stream stat", "show a stream's segments and interval", (_COLL,),
+     lambda c, a: c.stream_stat(a.coll)),
+    ("admin adduser", "create a user",
+     (_arg("name"), _arg("role", choices=["admin", "user"]),
+      _arg("--secret", help="secret (otherwise prompted)")),
+     lambda c, a: c.create_user(a.name, a.role,
+                                _secret_from(a, "new user secret: "))),
+    ("admin addgroup", "add a user to a group",
+     (_arg("user"), _arg("group")),
+     lambda c, a: c.add_group(a.user, a.group)),
+    ("admin mkresc", "register a storage resource",
+     (_arg("name"), _arg("driver"), _arg("root"),
+      _arg("kind", choices=["cache", "archive"])),
+     lambda c, a: c.register_resource(a.name, a.driver, a.root, a.kind)),
+    ("admin lsresc", "list the storage resources", (),
+     lambda c, a: {"resources": c.resources()}),
+    ("admin acl", "grant a user or group access to a path",
+     (_PATH, _arg("principal"),
+      _arg("perm", choices=["read", "write", "own"])),
+     lambda c, a: c.set_acl(a.path, a.principal, a.perm)),
+    ("admin audit", "query the audit trail",
+     (_arg("--event"), _arg("--actor"),
+      _arg("--from", dest="t_from", type=int),
+      _arg("--to", dest="t_to", type=int)),
+     lambda c, a: {"entries": c.audit(
+         event=a.event, actor=a.actor,
+         **{"from": a.t_from, "to": a.t_to})}),
+    ("admin orphans", "list replicas left in storage to reclaim", (),
+     lambda c, a: {"orphans": c.orphans()}),
+    ("admin addms", "upload a Python micro-service",
+     (_arg("name"), _arg("file"), _arg("--min-args", type=int, default=0),
+      _arg("--max-args", type=int)),
+     lambda c, a: c.register_microservice(a.name, _text(a.file),
+                                          a.min_args, a.max_args)),
+    ("admin adddriver", "upload a Python storage driver",
+     (_arg("name"), _arg("file")),
+     lambda c, a: c.register_driver(a.name, _text(a.file))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -300,158 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("user")
     p.add_argument("--secret", help="secret (otherwise prompted)")
 
-    sub.add_parser("ping", help="check the gateway").set_defaults(
-        fn=_cmd_ping)
-
-    p = sub.add_parser("put", help="upload a data object")
-    p.add_argument("path")
-    p.add_argument("file", nargs="?", help="local file, '-' for stdin")
-    p.add_argument("--resource")
-    p.set_defaults(fn=_cmd_put)
-
-    p = sub.add_parser("get", help="download a data object")
-    p.add_argument("path")
-    p.add_argument("file", nargs="?", help="local file, '-' for stdout")
-    p.set_defaults(fn=_cmd_get)
-
-    p = sub.add_parser("rm", help="remove a data object")
-    p.add_argument("path")
-    p.set_defaults(fn=_cmd_rm)
-
-    p = sub.add_parser("mkdir", help="create a collection")
-    p.add_argument("path")
-    p.add_argument("--kind", default="plain",
-                   choices=["plain", "stream", "workflow"])
-    p.set_defaults(fn=_cmd_mkdir)
-
-    p = sub.add_parser("ls", help="list a collection")
-    p.add_argument("path")
-    p.set_defaults(fn=_cmd_ls)
-
-    p = sub.add_parser("stat", help="show object record")
-    p.add_argument("path")
-    p.set_defaults(fn=_cmd_stat)
-
-    for verb in ("replicate", "stage", "archive"):
-        p = sub.add_parser(verb, help=f"{verb} an object onto a resource")
-        p.add_argument("path")
-        p.add_argument("resource")
-        p.set_defaults(fn=_cmd_copy)
-
-    p = sub.add_parser("verify", help="re-hash all replicas of an object")
-    p.add_argument("path")
-    p.set_defaults(fn=_cmd_verify)
-
-    meta = sub.add_parser("meta", help="metadata").add_subparsers(
-        dest="subcommand", required=True)
-    p = meta.add_parser("add")
-    p.add_argument("path")
-    p.add_argument("name")
-    p.add_argument("value")
-    p.add_argument("comment", nargs="?")
-    p.set_defaults(fn=_cmd_meta_add)
-    p = meta.add_parser("ls")
-    p.add_argument("path")
-    p.set_defaults(fn=_cmd_meta_ls)
-    p = meta.add_parser("query")
-    p.add_argument("query")
-    p.set_defaults(fn=_cmd_meta_query)
-
-    rule = sub.add_parser("rule", help="policy rules").add_subparsers(
-        dest="subcommand", required=True)
-    p = rule.add_parser("add")
-    p.add_argument("file", nargs="?", help="rule file, '-' for stdin")
-    p.set_defaults(fn=_cmd_rule_add)
-    p = rule.add_parser("list")
-    p.set_defaults(fn=_cmd_rule_list)
-    p = rule.add_parser("rm")
-    p.add_argument("name")
-    p.set_defaults(fn=_cmd_rule_rm)
-
-    wf = sub.add_parser("wf", help="procedures and runs").add_subparsers(
-        dest="subcommand", required=True)
-    p = wf.add_parser("attach")
-    p.add_argument("coll")
-    p.add_argument("file", nargs="?")
-    p.set_defaults(fn=_cmd_wf_attach)
-    p = wf.add_parser("show")
-    p.add_argument("workflow_id")
-    p.set_defaults(fn=_cmd_wf_show)
-    p = wf.add_parser("run")
-    p.add_argument("workflow_id")
-    p.add_argument("--bind", action="append", metavar="NAME=VALUE")
-    p.set_defaults(fn=_cmd_wf_run)
-    p = wf.add_parser("rerun")
-    p.add_argument("run_id")
-    p.add_argument("--bind", action="append", metavar="NAME=VALUE")
-    p.set_defaults(fn=_cmd_wf_rerun)
-    p = wf.add_parser("record")
-    p.add_argument("run_id")
-    p.set_defaults(fn=_cmd_wf_record)
-    p = wf.add_parser("diff")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(fn=_cmd_wf_diff)
-
-    stream = sub.add_parser("stream", help="time series").add_subparsers(
-        dest="subcommand", required=True)
-    p = stream.add_parser("ingest")
-    p.add_argument("coll")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--resource")
-    p.set_defaults(fn=_cmd_stream_ingest)
-    p = stream.add_parser("read")
-    p.add_argument("coll")
-    p.add_argument("t_from", type=int)
-    p.add_argument("t_to", type=int)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_stream_read)
-    p = stream.add_parser("stat")
-    p.add_argument("coll")
-    p.set_defaults(fn=_cmd_stream_stat)
-
-    admin = sub.add_parser("admin", help="administration").add_subparsers(
-        dest="subcommand", required=True)
-    p = admin.add_parser("adduser")
-    p.add_argument("name")
-    p.add_argument("role", choices=["admin", "user"])
-    p.add_argument("--secret")
-    p.set_defaults(fn=_cmd_adduser)
-    p = admin.add_parser("addgroup")
-    p.add_argument("user")
-    p.add_argument("group")
-    p.set_defaults(fn=_cmd_addgroup)
-    p = admin.add_parser("mkresc")
-    p.add_argument("name")
-    p.add_argument("driver")
-    p.add_argument("root")
-    p.add_argument("kind", choices=["cache", "archive"])
-    p.set_defaults(fn=_cmd_mkresc)
-    p = admin.add_parser("lsresc")
-    p.set_defaults(fn=_cmd_lsresc)
-    p = admin.add_parser("acl")
-    p.add_argument("path")
-    p.add_argument("principal")
-    p.add_argument("perm", choices=["read", "write", "own"])
-    p.set_defaults(fn=_cmd_acl)
-    p = admin.add_parser("audit")
-    p.add_argument("--event")
-    p.add_argument("--actor")
-    p.add_argument("--from", dest="t_from", type=int)
-    p.add_argument("--to", dest="t_to", type=int)
-    p.set_defaults(fn=_cmd_audit)
-    p = admin.add_parser("orphans")
-    p.set_defaults(fn=_cmd_orphans)
-    p = admin.add_parser("addms")
-    p.add_argument("name")
-    p.add_argument("file")
-    p.add_argument("--min-args", type=int, default=0)
-    p.add_argument("--max-args", type=int)
-    p.set_defaults(fn=_cmd_addms)
-    p = admin.add_parser("adddriver")
-    p.add_argument("name")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_adddriver)
+    groups = {}
+    for words, help_text, arguments, call in COMMANDS:
+        group, _, name = words.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = sub.add_parser(
+                group, help=GROUP_HELP[group]).add_subparsers(
+                dest="subcommand", required=True)
+        p = (groups[group] if group else sub).add_parser(name,
+                                                         help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(fn=call)
 
     return parser
 

@@ -194,9 +194,8 @@ class GatewayServer:
         return _object_payload(self.catalog.get_object(tail))
 
     def _make_collection(self, user, tail, query, body):
-        data = _json_body(body)
-        coll = self.engine.make_collection(user, _need(data, "path"),
-                                           kind=data.get("kind", "plain"))
+        path, kind = _fields(body, "path", kind="plain")
+        coll = self.engine.make_collection(user, path, kind=kind)
         return _as_dict(self.catalog.get_collection(coll))
 
     def _list_collection(self, user, tail, query, body):
@@ -206,9 +205,8 @@ class GatewayServer:
                 "collections": subcolls, "objects": objects}
 
     def _add_avu(self, user, tail, query, body):
-        data = _json_body(body)
-        self.engine.add_avu(user, _need(data, "path"), _need(data, "name"),
-                            _need(data, "value"), data.get("comment", ""))
+        self.engine.add_avu(user, *_fields(body, "path", "name", "value",
+                                           comment=""))
         return {}
 
     def _avus(self, user, tail, query, body):
@@ -264,7 +262,7 @@ class GatewayServer:
 
     def _run(self, user, tail, query, body):
         data = _json_body(body)
-        return self.zone.provenance.run(user, _need(data, "workflow_id"),
+        return self.zone.provenance.run(user, _string(data, "workflow_id"),
                                         data.get("bindings", {}))
 
     def _diff_runs(self, user, tail, query, body):
@@ -272,8 +270,10 @@ class GatewayServer:
             _one(query, "a", required=True), _one(query, "b", required=True))
 
     def _rerun(self, user, tail, query, body):
-        return self.zone.provenance.rerun(
-            user, tail[1:], _json_body(body).get("overrides"))
+        overrides = _json_body(body).get("overrides", {})
+        if not isinstance(overrides, dict):
+            raise ValueError("field overrides must be an object")
+        return self.zone.provenance.rerun(user, tail[1:], overrides)
 
     def _run_record(self, user, tail, query, body):
         return self.zone.provenance.run_record(tail[1:])
@@ -310,9 +310,9 @@ class GatewayServer:
         if not self.zone.allow_dynamic_code:
             raise Denied("dynamic code upload is disabled on this gateway")
         data = _json_body(body)
-        name = _need(data, "name")
+        name = _string(data, "name")
         namespace: dict = {}
-        exec(compile(_need(data, "code"), f"<{kind} {name}>", "exec"),
+        exec(compile(_string(data, "code"), f"<{kind} {name}>", "exec"),
              namespace)
         fn = namespace.get(entry)
         if not callable(fn):
@@ -356,16 +356,27 @@ def _json_body(body: bytes) -> dict:
     return data
 
 
-def _need(data: dict, key: str):
+def _string(data: dict, key: str, default: str | None = None) -> str:
+    """Field `key` of a JSON object, which must be a string. A missing
+    field is `default`, or a 400 when there is none."""
     if key not in data:
-        raise ValueError(f"missing field: {key}")
-    return data[key]
+        if default is None:
+            raise ValueError(f"missing field: {key}")
+        return default
+    value = data[key]
+    if not isinstance(value, str):
+        raise ValueError(f"field {key} must be a string, "
+                         f"not {type(value).__name__}")
+    return value
 
 
-def _fields(body: bytes, *keys: str) -> list:
-    """The named fields of a JSON object body; a missing one is a 400."""
+def _fields(body: bytes, *keys: str, **optional: str) -> list:
+    """The named string fields of a JSON object body, then the optional
+    ones, each `optional[key]` when missing. A missing required field,
+    or any field that is not a string, is a 400."""
     data = _json_body(body)
-    return [_need(data, key) for key in keys]
+    return [_string(data, key) for key in keys] + \
+        [_string(data, key, default) for key, default in optional.items()]
 
 
 def _one(query: dict, key: str, required: bool = False) -> str | None:

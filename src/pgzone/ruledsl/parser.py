@@ -9,7 +9,9 @@ carrying line, column, and the expected-token set. A depth guard keeps
 deeply nested input from hitting the interpreter recursion limit, so the
 parser never crashes: it either returns a tree or raises ParseError.
 Each chain, expression and operand counts one level toward it; the climb
-through the few precedence levels between them does not.
+through the few precedence levels between them does not. A caller so
+deep in the stack that the frames run out before the guard trips gets
+the same ParseError.
 """
 
 from __future__ import annotations
@@ -340,11 +342,22 @@ class _Parser:
                              tok.line, tok.column)
 
 
+def _parse(text: str, start: Callable[[_Parser], object]):
+    parser = _Parser(text)
+    try:
+        return start(parser)
+    except RecursionError:
+        # _MAX_DEPTH bounds the nesting, not the frames below the caller:
+        # a caller already deep in the stack runs out of frames first.
+        tok = parser.peek()
+        raise ParseError("nesting too deep", tok.line, tok.column) from None
+
+
 def parse_rules(text: str) -> list[RuleAst]:
     """Parse zero or more rules; source order is preserved."""
-    return _Parser(text).parse_ruleset()
+    return _parse(text, _Parser.parse_ruleset)
 
 
 def parse_procedure(text: str) -> ProcedureAst:
     """Parse exactly one procedure definition."""
-    return _Parser(text).parse_procedure()
+    return _parse(text, _Parser.parse_procedure)

@@ -238,6 +238,18 @@ def test_avu_requires_write():
         c.add_avu("u", "/f", "a", "b")
 
 
+@pytest.mark.parametrize("triple", [
+    (["x"], "v", ""), (7, "v", ""), ("n", None, ""), ("n", "v", ["c"]),
+])
+def test_avu_fields_must_be_strings(triple):
+    c = fresh_catalog()
+    put(c, "/f")
+    seq = c._seq
+    with pytest.raises(ValueError, match="strings"):
+        c.add_avu("admin", "/f", *triple)
+    assert c._seq == seq and c.avus("/f") == []
+
+
 def test_single_triple_conjunction_semantics():
     # One triple must satisfy every clause; clauses never mix triples.
     c = fresh_catalog()

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -340,6 +341,70 @@ def test_malformed_rule_is_400(gw, admin_client):
     assert exc.value.error == "ParseError"
 
 
+JUNK = ([], {}, 7, None, True, [["a"]])
+
+
+def test_malformed_json_fields_are_4xx_and_never_journaled(tmp_path):
+    """Junk in place of any field of a JSON body answers 4xx and stores
+    nothing, so queries still answer and the zone reopens to the same
+    state. {} stays valid for the fields that take an object."""
+    journal = tmp_path / "journal"
+    zone = make_zone(journal_dir=journal)
+    add_user(zone, "u")
+    zone.engine.put(ADMIN, "/home/u/f", b"x")
+    zone.catalog.make_collection(ADMIN, "/proj", kind="workflow")
+    server = GatewayServer(zone, host="127.0.0.1", port=free_port()).start()
+    try:
+        admin = ZoneClient(server.url)
+        admin.login(ADMIN, ADMIN_SECRET)
+        wid = admin.attach_workflow(
+            "/proj", 'procedure p() { audit_msg("x") }')["id"]
+        rid = admin.run(wid, {})["run_id"]
+        bodies = {
+            "/login": {"user": ADMIN, "secret": ADMIN_SECRET},
+            "/data/home/u/f:replicate": {"resource": "main"},
+            "/data/home/u/f:stage": {"resource": "main"},
+            "/data/home/u/f:archive": {"resource": "main"},
+            "/collections": {"path": "/home/u/c", "kind": "plain"},
+            "/meta": {"path": "/home/u", "name": "n", "value": "v",
+                      "comment": "c"},
+            "/rules": {"text": "rule r on pep.data.get.pre do allow()"},
+            "/users": {"name": "x", "role": "user", "secret": "s"},
+            "/groups": {"user": "u", "group": "g"},
+            "/acl": {"path": "/home/u", "principal": "u", "perm": "read"},
+            "/resources": {"name": "r", "driver": "mem", "root": "/r",
+                           "kind": "cache"},
+            "/workflows": {"coll": "/proj",
+                           "source": 'procedure q() { audit_msg("y") }'},
+            "/runs": {"workflow_id": wid, "bindings": {}},
+            f"/runs/{rid}:rerun": {"overrides": {}},
+        }
+        answers = {}
+        with requests.Session() as session:
+            session.headers["Authorization"] = f"Bearer {admin.token}"
+            for route, body in bodies.items():
+                for field, good in body.items():
+                    for junk in JUNK:
+                        if isinstance(good, dict) and junk == {}:
+                            continue
+                        answer = session.post(server.url + route,
+                                              json={**body, field: junk})
+                        answers[route, field, json.dumps(junk)] = \
+                            answer.status_code
+        assert {pair: status for pair, status in answers.items()
+                if not 400 <= status < 500} == {}
+        assert admin.meta_query('name like "*"') == []
+        digest = zone.catalog.data_state_digest()
+    finally:
+        server.shutdown()
+        zone.close()
+    reopened = make_zone(journal_dir=journal)
+    try:
+        assert reopened.catalog.data_state_digest() == digest
+    finally:
+        reopened.close()
+
+
 def test_replicate_verify_over_http(gw, admin_client):
     from pgzone.common import SYSTEM
     gw.zone.ensure_resource(SYSTEM, "r2", "mem", "/blobs/r2", "cache")
@@ -643,6 +708,23 @@ def test_readme_cli_lines_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+def test_every_subcommand_has_help():
+    """`pg --help` and each group's --help list no blank subcommand."""
+    blank, todo = [], [("pg", build_parser())]
+    while todo:
+        words, parser = todo.pop()
+        for action in parser._actions:
+            if not isinstance(action, argparse._SubParsersAction):
+                continue
+            helps = {choice.dest: choice.help
+                     for choice in action._choices_actions}
+            for name, child in action.choices.items():
+                if not helps.get(name):
+                    blank.append(f"{words} {name}")
+                todo.append((f"{words} {name}", child))
+    assert blank == []
 
 
 def test_api_doc_lists_the_route_table():

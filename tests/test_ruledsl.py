@@ -1,4 +1,6 @@
+import inspect
 import re
+import sys
 
 import pytest
 
@@ -197,6 +199,26 @@ def test_parser_depth_guard_counts_parentheses_not_levels(op):
     assert len(parse_rules(nested(99))) == 1
     with pytest.raises(ParseError, match="nesting"):
         parse_rules(nested(100))
+
+
+def test_parser_depth_guard_holds_deep_in_the_stack():
+    # 99 levels through every precedence level stay under _MAX_DEPTH
+    # (98 in a procedure, whose body counts one) but need about 800
+    # frames; with 300 left, both entry points refuse.
+    def nested(depth):
+        return "1 || 1 && 1 == 1 + 1 * (" * depth + "1" + ")" * depth
+    rule = f"rule r on pep.data.get.pre when {nested(99)} do allow()"
+    proc = f"procedure p() {{ $x = {nested(98)} }}"
+    assert len(parse_rules(rule)) == 1 and parse_procedure(proc).name == "p"
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 300)
+    try:
+        for parse, text in ((parse_rules, rule), (parse_procedure, proc)):
+            with pytest.raises(ParseError, match="nesting too deep"):
+                parse(text)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_parse_error_expected_set():
