@@ -7,7 +7,7 @@ import time
 import pytest
 
 from pgzone.common import SYSTEM, sha256_hex
-from pgzone.drivers import MemDriver
+from pgzone.drivers import ArchiveDriver, LocalFsDriver, MemDriver
 from pgzone.engine import PEP_NAMES, PEP_OPS
 from pgzone.errors import (
     ChecksumMismatch,
@@ -18,6 +18,7 @@ from pgzone.errors import (
     KindMismatch,
     NoSuchObject,
     NoSuchPath,
+    NoSuchRef,
     PermissionDenied,
     UnknownPep,
 )
@@ -386,6 +387,58 @@ def test_remove_orphans_archived_replica(zone):
     orphans = zone.catalog.orphans()
     assert len(orphans) == 1 and orphans[0]["resource"] == "tape"
     assert orphans[0]["checksum"] == sha256_hex(b"payload")
+
+
+# How the engine disposes of the replica a put replaces or a remove drops,
+# for each answer a driver's unlink can give: done ("gone"), Unsupported
+# or another DriverError ("orphan" on a put; a remove that cannot unlink
+# keeps the object, marks the replica suspect and raises EngineError),
+# or NoSuchRef for a blob deleted out of band ("vanished").
+DISPOSAL_DRIVERS = {
+    "mem": (MemDriver, "gone"),
+    "localfs": (LocalFsDriver, "gone"),
+    "archive": (ArchiveDriver, "orphan"),
+    "fail_unlink": (lambda: FaultDriver(MemDriver(), fail_unlink=True),
+                    "orphan"),
+    "vanished": (MemDriver, "vanished"),
+}
+
+
+@pytest.mark.parametrize("op", ["put", "remove"])
+@pytest.mark.parametrize("kind", sorted(DISPOSAL_DRIVERS))
+def test_replaced_or_removed_replica_is_disposed_of(zone, tmp_path, kind,
+                                                   op):
+    make, outcome = DISPOSAL_DRIVERS[kind]
+    driver = make()
+    zone.register_driver(ADMIN, "d", driver)
+    zone.ensure_resource(SYSTEM, "r", "d", str(tmp_path / "blobs"), "cache")
+    add_user(zone, "u")
+    old = zone.engine.put("u", "/home/u/f", b"one", resource="r").replicas[0]
+    if outcome == "vanished":
+        driver.unlink(old.physical_ref)
+    if op == "put":
+        zone.engine.put("u", "/home/u/f", b"two", resource="r")
+        assert zone.engine.get("u", "/home/u/f") == b"two"
+    elif kind == "fail_unlink":
+        with pytest.raises(EngineError):
+            zone.engine.remove("u", "/home/u/f")
+        [replica] = zone.catalog.get_object("/home/u/f").replicas
+        assert (replica.physical_ref, replica.status) == \
+            (old.physical_ref, "suspect")
+        assert zone.catalog.orphans() == []
+        return
+    else:
+        zone.engine.remove("u", "/home/u/f")
+        assert not zone.catalog.object_exists("/home/u/f")
+    orphans = [(o["path"], o["resource"], o["physical_ref"], o["checksum"])
+               for o in zone.catalog.orphans()]
+    if outcome == "orphan":
+        assert orphans == [("/home/u/f", "r", old.physical_ref,
+                            sha256_hex(b"one"))]
+    else:
+        assert orphans == []
+        with pytest.raises(NoSuchRef):
+            driver.read_all(old.physical_ref)
 
 
 # ---------------------------------------------------------------------------
