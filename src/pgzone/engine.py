@@ -558,22 +558,28 @@ class Engine:
         return self.catalog.get_object(path)
 
     def _dispose_replica(self, path: str, replica) -> None:
-        """Remove a replica's bytes if the driver permits; otherwise park
-        it on the orphan list so an operator can reclaim it."""
+        """Delete the bytes of a replica a put replaced. When they cannot
+        be deleted (Unsupported, any other DriverError, or no driver),
+        park the replica on the orphan list so an operator can reclaim
+        it; the put stands either way."""
         try:
             driver, _root = self._driver_for(replica.resource)
+            driver.unlink(replica.physical_ref)
+        except NoSuchRef:
+            pass
         except ZoneError:
-            driver = None
-        if driver is not None and driver.supports_unlink:
-            try:
-                driver.unlink(replica.physical_ref)
-                return
-            except NoSuchRef:
-                return
-            except DriverError:
-                pass
-        self.catalog.add_orphan(path, replica.resource,
-                                replica.physical_ref, replica.checksum)
+            self.catalog.add_orphan(path, replica.resource,
+                                    replica.physical_ref, replica.checksum)
+
+    def _read_replica(self, replica) -> bytes | None:
+        """The replica's bytes, or None when they cannot be read or no
+        longer hash to its recorded checksum."""
+        try:
+            driver, _root = self._driver_for(replica.resource)
+            data = driver.read_all(replica.physical_ref)
+        except ZoneError:
+            return None
+        return data if sha256_hex(data) == replica.checksum else None
 
     def read_object(self, actor: str, path: str) -> tuple[bytes, str]:
         """Authorized read returning verified bytes and the checksum they
@@ -585,14 +591,8 @@ class Engine:
             for replica in obj.replicas:
                 if replica.status != "good":
                     continue
-                try:
-                    driver, _root = self._driver_for(replica.resource)
-                    data = driver.read_all(replica.physical_ref)
-                except (DriverError, ZoneError):
-                    self.catalog.set_replica_status(
-                        path, replica.physical_ref, "suspect")
-                    continue
-                if sha256_hex(data) == replica.checksum:
+                data = self._read_replica(replica)
+                if data is not None:
                     rec = current_recorder()
                     if rec is not None:
                         rec.record_read(path, replica.checksum)
@@ -627,11 +627,10 @@ class Engine:
         driver.store(ref, data)
         back = driver.read_all(ref)
         if sha256_hex(back) != checksum:
-            if driver.supports_unlink:
-                try:
-                    driver.unlink(ref)
-                except DriverError:
-                    pass
+            try:
+                driver.unlink(ref)
+            except DriverError:
+                pass
             raise ChecksumMismatch(
                 f"replica on {dest_resource!r} reads back corrupted")
         self.catalog.add_replica(path, dest_resource, ref, checksum,
@@ -675,11 +674,11 @@ class Engine:
             self.catalog.audit_append(actor, "data.remove", path)
 
     def _unlink_or_orphan(self, actor: str, path: str, replica) -> None:
+        """Delete the bytes of a replica a remove drops. A driver that
+        never deletes (Unsupported) leaves it on the orphan list; any
+        other DriverError marks it suspect and raises EngineError, so the
+        object is kept."""
         driver, _root = self._driver_for(replica.resource)
-        if not driver.supports_unlink:
-            self.catalog.add_orphan(path, replica.resource,
-                                    replica.physical_ref, replica.checksum)
-            return
         try:
             driver.unlink(replica.physical_ref)
         except NoSuchRef:
@@ -732,12 +731,7 @@ class Engine:
             self.catalog.require_access(path, actor, "read")
             result: list[tuple[str, str]] = []
             for replica in obj.replicas:
-                try:
-                    driver, _root = self._driver_for(replica.resource)
-                    data = driver.read_all(replica.physical_ref)
-                    ok = sha256_hex(data) == replica.checksum
-                except (DriverError, ZoneError):
-                    ok = False
+                ok = self._read_replica(replica) is not None
                 status = "good" if ok else "suspect"
                 if status != replica.status:
                     self.catalog.set_replica_status(

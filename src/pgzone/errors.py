@@ -171,11 +171,7 @@ class NoSuchRef(DriverError):
 
 
 class Unsupported(DriverError):
-    """The driver's capability flags forbid this operation."""
-
-
-class BadHandle(DriverError):
-    pass
+    """The driver never performs this operation (the archive's unlink)."""
 
 
 # --- streams ---------------------------------------------------------------

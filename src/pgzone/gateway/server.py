@@ -321,9 +321,11 @@ class GatewayServer:
 
     def _register_microservice(self, user, tail, query, body):
         data, name, fn = self._load_upload(user, body, "microservice", "ms")
-        min_args = int(data.get("min_args", 0))
-        self.engine.register_microservice(
-            user, name, fn, min_args, int(data.get("max_args", min_args)))
+        min_args = _count(data, "min_args", 0)
+        max_args = _count(data, "max_args", min_args)
+        if max_args < min_args:
+            raise ValueError("field max_args must not be below min_args")
+        self.engine.register_microservice(user, name, fn, min_args, max_args)
         return {"registered": name}
 
     def _register_driver(self, user, tail, query, body):
@@ -367,6 +369,16 @@ def _string(data: dict, key: str, default: str | None = None) -> str:
     if not isinstance(value, str):
         raise ValueError(f"field {key} must be a string, "
                          f"not {type(value).__name__}")
+    return value
+
+
+def _count(data: dict, key: str, default: int) -> int:
+    """Field `key` of a JSON object, which must be an integer of 0 or
+    more and not a boolean. A missing field is `default`."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"field {key} must be an integer of 0 or more, "
+                         f"not {json.dumps(value)}")
     return value
 
 

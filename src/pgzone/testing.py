@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import socket
 
-from .drivers import Driver, Handle, StatResult
+from .drivers import Driver
 from .errors import DriverError
 
 
 class FaultDriver(Driver):
     """Wraps any driver and injects faults on demand.
 
-    corrupt_writes: flip the first byte of every written payload, so
+    corrupt_writes: flip the first byte of every stored payload, so
     stored bytes no longer match the checksum computed from the
     original data. fail_unlink: every unlink raises DriverError.
     Both flags can be toggled at runtime.
@@ -26,41 +26,21 @@ class FaultDriver(Driver):
         self.corrupt_writes = corrupt_writes
         self.fail_unlink = fail_unlink
 
-    @property
-    def supports_update(self) -> bool:  # type: ignore[override]
-        return self.inner.supports_update
-
-    @property
-    def supports_unlink(self) -> bool:  # type: ignore[override]
-        return self.inner.supports_unlink
-
     def new_ref(self, root: str) -> str:
         return self.inner.new_ref(root)
 
-    def create(self, ref: str) -> None:
-        self.inner.create(ref)
-
-    def open(self, ref: str) -> Handle:
-        return self.inner.open(ref)
-
-    def read(self, handle: Handle, offset: int, length: int) -> bytes:
-        return self.inner.read(handle, offset, length)
-
-    def write(self, handle: Handle, offset: int, data: bytes) -> None:
+    def store(self, ref: str, data: bytes) -> None:
         if self.corrupt_writes and data:
             data = bytes([data[0] ^ 0xFF]) + data[1:]
-        self.inner.write(handle, offset, data)
+        self.inner.store(ref, data)
 
-    def close(self, handle: Handle) -> None:
-        self.inner.close(handle)
+    def read_all(self, ref: str) -> bytes:
+        return self.inner.read_all(ref)
 
     def unlink(self, ref: str) -> None:
         if self.fail_unlink:
             raise DriverError(f"injected unlink failure for {ref!r}")
         self.inner.unlink(ref)
-
-    def stat(self, ref: str) -> StatResult:
-        return self.inner.stat(ref)
 
 
 def free_port() -> int:

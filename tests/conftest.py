@@ -8,6 +8,38 @@ from pgzone.zone import Zone
 ADMIN = "admin"
 ADMIN_SECRET = "admin-secret"
 
+# The driver docs/api.md uploads: a dict-backed Driver with the four calls.
+DRIVER_CODE = '''
+from pgzone.drivers import Driver
+from pgzone.errors import DriverError, NoSuchRef
+
+
+class DictDriver(Driver):
+    def __init__(self):
+        self.blobs = {}
+
+    def store(self, ref, data):
+        if ref in self.blobs:
+            raise DriverError(f"ref already exists: {ref!r}")
+        self.blobs[ref] = bytes(data)
+
+    def read_all(self, ref):
+        try:
+            return self.blobs[ref]
+        except KeyError:
+            raise NoSuchRef(ref) from None
+
+    def unlink(self, ref):
+        try:
+            del self.blobs[ref]
+        except KeyError:
+            raise NoSuchRef(ref) from None
+
+
+def make_driver():
+    return DictDriver()
+'''
+
 
 def make_zone(journal_dir=None, default_resource="main") -> Zone:
     """Zone with an admin, a mem-backed default resource, and /home."""

@@ -13,7 +13,6 @@ from pgzone.drivers import (
     run_conformance,
 )
 from pgzone.errors import (
-    BadHandle,
     DriverError,
     DuplicateName,
     NoSuchRef,
@@ -21,6 +20,8 @@ from pgzone.errors import (
     Unsupported,
 )
 from pgzone.testing import FaultDriver
+
+from conftest import DRIVER_CODE
 
 
 def drivers_under_test(tmp_path):
@@ -49,85 +50,35 @@ def test_store_and_read_all_each_builtin(tmp_path):
         ref = driver.new_ref(root)
         driver.store(ref, b"payload-" + name.encode())
         assert driver.read_all(ref) == b"payload-" + name.encode(), name
-        st = driver.stat(ref)
-        assert st.exists and st.size == len(b"payload-") + len(name), name
 
 
-def test_read_past_eof_returns_available(tmp_path):
+def test_store_onto_existing_ref_fails(tmp_path):
     for name, driver, root in drivers_under_test(tmp_path):
         ref = driver.new_ref(root)
-        driver.store(ref, b"0123456789")
-        h = driver.open(ref)
-        assert driver.read(h, 7, 100) == b"789", name
-        assert driver.read(h, 50, 10) == b"", name
-        driver.close(h)
-
-
-def test_write_beyond_eof_zero_fills(tmp_path):
-    for name, driver, root in drivers_under_test(tmp_path):
-        ref = driver.new_ref(root)
-        driver.store(ref, b"ab")
-        h = driver.open(ref)
-        driver.write(h, 5, b"XY")
-        driver.close(h)
-        assert driver.read_all(ref) == b"ab\x00\x00\x00XY", name
-
-
-def test_create_duplicate_fails(tmp_path):
-    for name, driver, root in drivers_under_test(tmp_path):
-        ref = driver.new_ref(root)
-        driver.create(ref)
+        driver.store(ref, b"first")
         with pytest.raises(DriverError):
-            driver.create(ref)
+            driver.store(ref, b"second")
+        assert driver.read_all(ref) == b"first", name
 
 
-def test_open_missing_raises(tmp_path):
+def test_missing_ref_raises(tmp_path):
     for name, driver, root in drivers_under_test(tmp_path):
         with pytest.raises(NoSuchRef):
-            driver.open(driver.new_ref(root))
-
-
-def test_stat_missing_not_exists(tmp_path):
-    for name, driver, root in drivers_under_test(tmp_path):
-        st = driver.stat(driver.new_ref(root))
-        assert not st.exists and st.size == 0
-
-
-def test_handles_are_single_use():
-    driver = MemDriver()
-    ref = driver.new_ref("/r")
-    driver.store(ref, b"x")
-    h = driver.open(ref)
-    driver.close(h)
-    with pytest.raises(BadHandle):
-        driver.read(h, 0, 1)
-    with pytest.raises(BadHandle):
-        driver.close(h)
-
-
-def test_handle_bound_to_its_driver():
-    d1, d2 = MemDriver(), MemDriver()
-    ref = d1.new_ref("/r")
-    d1.store(ref, b"x")
-    h = d1.open(ref)
-    with pytest.raises(BadHandle):
-        d2.read(h, 0, 1)
-    d1.close(h)
+            driver.read_all(driver.new_ref(root))
+        expected = Unsupported if name == "archive" else NoSuchRef
+        with pytest.raises(expected):
+            driver.unlink(driver.new_ref(root))
 
 
 def test_archive_is_write_once():
     driver = ArchiveDriver()
-    assert not driver.supports_update and not driver.supports_unlink
     ref = driver.new_ref("/r")
     driver.store(ref, b"immutable")
-    h = driver.open(ref)
-    with pytest.raises(Unsupported):
-        driver.write(h, 0, b"X")  # rewrite inside existing bytes
-    driver.write(h, 9, b"-more")  # append is fine
-    driver.close(h)
-    assert driver.read_all(ref) == b"immutable-more"
     with pytest.raises(Unsupported):
         driver.unlink(ref)
+    with pytest.raises(DriverError):
+        driver.store(ref, b"X")
+    assert driver.read_all(ref) == b"immutable"
 
 
 def test_mem_unlink():
@@ -135,7 +86,8 @@ def test_mem_unlink():
     ref = driver.new_ref("/r")
     driver.store(ref, b"x")
     driver.unlink(ref)
-    assert not driver.stat(ref).exists
+    with pytest.raises(NoSuchRef):
+        driver.read_all(ref)
     with pytest.raises(NoSuchRef):
         driver.unlink(ref)
 
@@ -144,6 +96,33 @@ def test_localfs_unlink_missing(tmp_path):
     driver = LocalFsDriver()
     with pytest.raises(NoSuchRef):
         driver.unlink(str(tmp_path / "nope" / "file"))
+
+
+def test_localfs_raises_other_os_errors_as_driver_errors(tmp_path):
+    driver = LocalFsDriver()
+    ref = driver.new_ref(str(tmp_path))
+    driver.store(ref, b"x")
+    os.remove(ref)
+    os.mkdir(ref)  # a directory where the blob was
+    for call in (driver.read_all, driver.unlink):
+        with pytest.raises(DriverError) as exc:
+            call(ref)
+        assert type(exc.value) is DriverError, call.__name__
+        assert isinstance(exc.value.__cause__, OSError)
+    (tmp_path / "file").write_bytes(b"")
+    with pytest.raises(DriverError) as exc:  # a file where a directory goes
+        driver.store(str(tmp_path / "file" / "ab" / "ab01"), b"x")
+    assert isinstance(exc.value.__cause__, OSError)
+
+
+@pytest.mark.skipif(os.geteuid() == 0,
+                    reason="mode bits do not bind the superuser")
+def test_localfs_reads_a_read_only_blob(tmp_path):
+    driver = LocalFsDriver()
+    ref = driver.new_ref(str(tmp_path))
+    driver.store(ref, b"kept")
+    os.chmod(ref, 0o444)
+    assert driver.read_all(ref) == b"kept"
 
 
 def test_localfs_store_makes_a_missing_directory_once(tmp_path, monkeypatch):
@@ -165,15 +144,6 @@ def test_localfs_store_makes_a_missing_directory_once(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert driver.read_all(str(tmp_path / "blobs" / "ab" / "ab01")) == b"one"
     assert driver.read_all(str(tmp_path / "blobs" / "ab" / "ab02")) == b"two"
-
-
-def test_localfs_store_onto_existing_ref_fails(tmp_path):
-    driver = LocalFsDriver()
-    ref = driver.new_ref(str(tmp_path))
-    driver.store(ref, b"first")
-    with pytest.raises(DriverError):
-        driver.store(ref, b"second")
-    assert driver.read_all(ref) == b"first"
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +188,15 @@ def test_conformance_localfs(tmp_path):
     assert report.ok, report.failures[:5]
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_conformance_uploaded_driver(seed):
+    namespace = {}
+    exec(DRIVER_CODE, namespace)
+    report = run_conformance(namespace["make_driver"](), "/blobs",
+                             n_ops=800, seed=seed)
+    assert report.ok, report.failures[:5]
+
+
 def test_conformance_clean_fault_wrapper():
     # With no faults enabled the wrapper must be indistinguishable.
     report = run_conformance(FaultDriver(MemDriver()), "/blobs", n_ops=500,
@@ -227,8 +206,8 @@ def test_conformance_clean_fault_wrapper():
 
 def test_conformance_catches_misbehaving_driver():
     class LyingDriver(MemDriver):
-        def read(self, handle, offset, length):
-            data = super().read(handle, offset, length)
+        def read_all(self, ref):
+            data = super().read_all(ref)
             return data[:-1] if data else data  # silently drops a byte
 
     report = run_conformance(LyingDriver(), "/blobs", n_ops=400, seed=0)

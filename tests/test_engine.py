@@ -1,4 +1,5 @@
 import io
+import os
 import re
 import sys
 import threading
@@ -439,6 +440,29 @@ def test_replaced_or_removed_replica_is_disposed_of(zone, tmp_path, kind,
         assert orphans == []
         with pytest.raises(NoSuchRef):
             driver.read_all(old.physical_ref)
+
+
+@pytest.mark.parametrize("op", ["put", "remove"])
+def test_localfs_blob_turned_directory_is_disposed_of_as_unlink_failure(
+        zone, tmp_path, op):
+    zone.ensure_resource(SYSTEM, "disk", "localfs", str(tmp_path / "blobs"),
+                         "cache")
+    add_user(zone, "u")
+    old = zone.engine.put("u", "/home/u/f", b"one",
+                          resource="disk").replicas[0]
+    os.remove(old.physical_ref)
+    os.mkdir(old.physical_ref)  # the unlink now fails with an OSError
+    if op == "put":
+        assert zone.engine.put("u", "/home/u/f", b"two",
+                               resource="disk").version == 2
+        assert [o["physical_ref"] for o in zone.catalog.orphans()] == \
+            [old.physical_ref]
+    else:
+        with pytest.raises(EngineError):
+            zone.engine.remove("u", "/home/u/f")
+        [replica] = zone.catalog.get_object("/home/u/f").replicas
+        assert replica.status == "suspect"
+        assert zone.catalog.orphans() == []
 
 
 # ---------------------------------------------------------------------------

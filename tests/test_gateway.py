@@ -22,7 +22,7 @@ from pgzone.gateway.server import MAX_BODY, GatewayServer
 from pgzone.gateway.sessions import SessionStore
 from pgzone.testing import free_port
 
-from conftest import ADMIN, ADMIN_SECRET, add_user, make_zone
+from conftest import ADMIN, ADMIN_SECRET, DRIVER_CODE, add_user, make_zone
 
 
 @pytest.fixture
@@ -203,7 +203,6 @@ ERROR_STATUS = {
     "ChecksumMismatch": 500, "AllReplicasSuspect": 500,
     "CorruptJournal": 500, "EngineError": 500,
     "DriverError": 500, "NoSuchRef": 500, "Unsupported": 500,
-    "BadHandle": 500,
 }
 
 
@@ -347,9 +346,11 @@ JUNK = ([], {}, 7, None, True, [["a"]])
 def test_malformed_json_fields_are_4xx_and_never_journaled(tmp_path):
     """Junk in place of any field of a JSON body answers 4xx and stores
     nothing, so queries still answer and the zone reopens to the same
-    state. {} stays valid for the fields that take an object."""
+    state. {} stays valid for the fields that take an object, and 7 for
+    the ones that take a count."""
     journal = tmp_path / "journal"
     zone = make_zone(journal_dir=journal)
+    zone.allow_dynamic_code = True
     add_user(zone, "u")
     zone.engine.put(ADMIN, "/home/u/f", b"x")
     zone.catalog.make_collection(ADMIN, "/proj", kind="workflow")
@@ -378,6 +379,9 @@ def test_malformed_json_fields_are_4xx_and_never_journaled(tmp_path):
                            "source": 'procedure q() { audit_msg("y") }'},
             "/runs": {"workflow_id": wid, "bindings": {}},
             f"/runs/{rid}:rerun": {"overrides": {}},
+            "/microservices": {"name": "m", "code": MS_CODE, "min_args": 2,
+                               "max_args": 2},
+            "/drivers": {"name": "d", "code": DRIVER_CODE},
         }
         answers = {}
         with requests.Session() as session:
@@ -385,7 +389,8 @@ def test_malformed_json_fields_are_4xx_and_never_journaled(tmp_path):
             for route, body in bodies.items():
                 for field, good in body.items():
                     for junk in JUNK:
-                        if isinstance(good, dict) and junk == {}:
+                        if isinstance(good, dict) and junk == {} or \
+                                isinstance(good, int) and junk == 7:
                             continue
                         answer = session.post(server.url + route,
                                               json={**body, field: junk})
@@ -516,14 +521,6 @@ def ms(ctx, path, suffix):
     return ""
 '''
 
-DRIVER_CODE = '''
-from pgzone.drivers import MemDriver
-
-def make_driver():
-    return MemDriver()
-'''
-
-
 def test_dynamic_code_disabled_by_default(gw, admin_client):
     with pytest.raises(ClientError) as exc:
         admin_client.register_microservice("tagger", MS_CODE, 2, 2)
@@ -561,6 +558,20 @@ def test_dynamic_code_requires_admin(dyn_gw):
     with pytest.raises(ClientError) as exc:
         uc.register_microservice("evil", MS_CODE, 2, 2)
     assert exc.value.status == 403
+
+
+@pytest.mark.parametrize("counts", [
+    {"min_args": -1}, {"min_args": 1, "max_args": -1},
+    {"min_args": 3, "max_args": 2}, {"min_args": 2.0}, {"max_args": "2"}])
+def test_microservice_arity_must_be_counts(dyn_gw, counts):
+    c = ZoneClient(dyn_gw.url)
+    c.login(ADMIN, ADMIN_SECRET)
+    answer = requests.post(
+        dyn_gw.url + "/microservices",
+        headers={"Authorization": f"Bearer {c.token}"},
+        json={"name": "m", "code": MS_CODE, **counts})
+    assert answer.status_code == 400, answer.text
+    c.register_microservice("m", MS_CODE, 2)  # the name is still free
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +736,12 @@ def test_every_subcommand_has_help():
                     blank.append(f"{words} {name}")
                 todo.append((f"{words} {name}", child))
     assert blank == []
+
+
+def test_api_doc_uploads_the_tested_driver():
+    """docs/api.md's driver upload example is DRIVER_CODE, the driver the
+    tests upload and run through the conformance suite."""
+    assert DRIVER_CODE.strip() in (REPO / "docs" / "api.md").read_text()
 
 
 def test_api_doc_lists_the_route_table():
