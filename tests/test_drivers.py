@@ -52,7 +52,7 @@ def test_store_and_read_all_each_builtin(tmp_path):
         assert driver.read_all(ref) == b"payload-" + name.encode(), name
 
 
-def test_store_onto_existing_ref_fails(tmp_path):
+def test_create_duplicate_fails(tmp_path):
     for name, driver, root in drivers_under_test(tmp_path):
         ref = driver.new_ref(root)
         driver.store(ref, b"first")
@@ -123,6 +123,16 @@ def test_localfs_reads_a_read_only_blob(tmp_path):
     driver.store(ref, b"kept")
     os.chmod(ref, 0o444)
     assert driver.read_all(ref) == b"kept"
+
+
+def test_localfs_store_onto_existing_ref_fails(tmp_path):
+    driver = LocalFsDriver()
+    ref = driver.new_ref(str(tmp_path))
+    driver.store(ref, b"first")
+    with pytest.raises(DriverError):
+        driver.store(ref, b"second")
+    with open(ref, "rb") as f:
+        assert f.read() == b"first"
 
 
 def test_localfs_store_makes_a_missing_directory_once(tmp_path, monkeypatch):
