@@ -890,15 +890,22 @@ class Catalog:
 
     # -- policies (rule base) ------------------------------------------------
 
-    def add_rule_record(self, name: str, pep: str, priority: int,
-                        text: str) -> int:
+    def add_rule_records(self, rules: list[tuple[str, str, int, str]]) -> None:
+        """Commit one rule.add per (name, pep, priority, text). Every name
+        is checked under the same hold of the lock as the commits, so no
+        rule is committed when any name is taken or repeated. A journal
+        write that fails midway leaves the rules committed before it."""
         with self._lock:
-            if name in self._rules:
-                raise DuplicateRuleName(name)
-            self._commit("rule.add", {
-                "name": name, "pep": pep, "priority": priority, "text": text,
-            })
-            return self._rule_version
+            seen: set[str] = set()
+            for name, _pep, _priority, _text in rules:
+                if name in self._rules or name in seen:
+                    raise DuplicateRuleName(name)
+                seen.add(name)
+            for name, pep, priority, text in rules:
+                self._commit("rule.add", {
+                    "name": name, "pep": pep, "priority": priority,
+                    "text": text,
+                })
 
     def remove_rule_record(self, name: str) -> int:
         with self._lock:

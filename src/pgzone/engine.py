@@ -41,7 +41,6 @@ from .errors import (
     DriverError,
     DuplicateName,
     DuplicateReplica,
-    DuplicateRuleName,
     EngineError,
     EvalError,
     FetchFailed,
@@ -325,6 +324,7 @@ class Engine:
         for name, fn, lo, hi in _BUILTINS:
             self.microservices.register(name, fn, lo, hi)
         self._compiled: dict[str, list[RuleAst]] = {}
+        self._trees: dict[str, RuleAst] = {}  # stored rule text -> its tree
         self._compiled_version = -1
         self._compile_lock = threading.Lock()
         # A path's lock lives while someone holds or waits for it, so
@@ -351,7 +351,10 @@ class Engine:
 
     def add_rules(self, caller: str, text: str) -> list[str]:
         """Parse and install one or more rules; atomic per call: either
-        every rule in the text is installed or none is."""
+        every rule in the text is installed or none is, even when another
+        admin adds a rule of the same name at the same time. Only a
+        journal write that fails midway leaves the rules committed before
+        it installed."""
         self.catalog.require_admin(caller)
         rules = parse_rules(text)
         if not rules:
@@ -363,13 +366,9 @@ class Engine:
             if rule.name in seen:
                 raise DuplicateName(f"rule {rule.name!r} repeated in input")
             seen.add(rule.name)
-        existing = {r.name for r in self.catalog.rules()}
+        self.catalog.add_rule_records(
+            [(r.name, r.pep, r.priority, print_rule(r)) for r in rules])
         for rule in rules:
-            if rule.name in existing:
-                raise DuplicateRuleName(rule.name)
-        for rule in rules:
-            self.catalog.add_rule_record(
-                rule.name, rule.pep, rule.priority, print_rule(rule))
             self.catalog.audit_append(caller, "rule.add", rule.name)
         return [r.name for r in rules]
 
@@ -382,16 +381,26 @@ class Engine:
         return self.catalog.rules()
 
     def _rules_for(self, pep: str) -> list[RuleAst]:
+        """The rules of pep in dispatch order: descending priority, then
+        ascending name. The first firing after a rule change rebuilds the
+        order from the catalog. The rebuild parses only stored texts it
+        has not seen, so a rule change costs one parse of the changed
+        rule, and it drops the trees of removed rules."""
         version = self.catalog.rule_version
         with self._compile_lock:
             if version != self._compiled_version:
                 compiled: dict[str, list[RuleAst]] = {}
+                trees: dict[str, RuleAst] = {}
                 for entry in self.catalog.rules():
-                    (ast,) = parse_rules(entry.text)
+                    ast = self._trees.get(entry.text)
+                    if ast is None:
+                        (ast,) = parse_rules(entry.text)
+                    trees[entry.text] = ast
                     compiled.setdefault(entry.pep, []).append(ast)
                 for asts in compiled.values():
                     asts.sort(key=lambda r: (-r.priority, r.name))
                 self._compiled = compiled
+                self._trees = trees
                 self._compiled_version = version
             return list(self._compiled.get(pep, ()))
 

@@ -94,6 +94,10 @@ class Provenance:
     def __init__(self, engine: Engine):
         self.engine = engine
         self.catalog = engine.catalog
+        # workflow id -> its parsed procedure. An id is the hash of the
+        # canonical text and an attached workflow never changes, so a
+        # tree here is never stale.
+        self._procedures: dict[str, ProcedureAst] = {}
 
     # -- attachment ----------------------------------------------------------
 
@@ -132,10 +136,22 @@ class Provenance:
             raise BadBindings(f"binding {key!r} has unsupported value "
                               f"{value!r}")
 
-    def run(self, actor: str, workflow_id: str, bindings: dict) -> dict:
+    def _procedure(self, workflow_id: str) -> tuple[dict, ProcedureAst]:
+        """The workflow record and its procedure, parsed on the first
+        call for the id in this process."""
         wf = self.catalog.workflow(workflow_id)
+        ast = self._procedures.get(workflow_id)
+        if ast is None:
+            ast = self._procedures[workflow_id] = parse_procedure(
+                wf["source"])
+        return wf, ast
+
+    def run(self, actor: str, workflow_id: str, bindings: dict) -> dict:
+        """Run an attached workflow with the given bindings and return
+        its run record. The procedure is parsed once per workflow id per
+        process; later runs and reruns reuse that tree."""
+        wf, ast = self._procedure(workflow_id)
         coll = wf["coll"]
-        ast = parse_procedure(wf["source"])
         self._check_bindings(ast.params, bindings)
         self.catalog.require_access(coll, actor, "write")
         if self.engine.default_resource is None:
@@ -218,8 +234,7 @@ class Provenance:
     def rerun(self, actor: str, run_id: str,
               overrides: dict | None = None) -> dict:
         old = self.catalog.run(run_id)
-        wf = self.catalog.workflow(old["workflow_id"])
-        ast = parse_procedure(wf["source"])
+        _wf, ast = self._procedure(old["workflow_id"])
         overrides = overrides or {}
         if not set(overrides) <= set(ast.params):
             raise BadBindings(

@@ -63,8 +63,8 @@ def run_session(cat: Catalog, rng: random.Random, n_ops: int) -> None:
             colls.append(f"/data/{name}")
         elif roll < 0.76:
             name = f"rule{i}"
-            cat.add_rule_record(name, "pep.data.get.pre",
-                                rng.randint(-5, 5), f"rule {name} ...")
+            cat.add_rule_records([(name, "pep.data.get.pre",
+                                   rng.randint(-5, 5), f"rule {name} ...")])
             rules.append(name)
         elif roll < 0.80 and rules:
             cat.remove_rule_record(rules.pop(rng.randrange(len(rules))))

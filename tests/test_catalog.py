@@ -501,10 +501,10 @@ def test_removing_every_object_under_a_name_empties_its_buckets():
 def test_rule_records_and_version():
     c = fresh_catalog()
     assert c.rule_version == 0
-    c.add_rule_record("r1", "pep.data.get.pre", 5, "rule r1 ...")
+    c.add_rule_records([("r1", "pep.data.get.pre", 5, "rule r1 ...")])
     assert c.rule_version == 1
     with pytest.raises(DuplicateRuleName):
-        c.add_rule_record("r1", "pep.data.get.pre", 0, "x")
+        c.add_rule_records([("r1", "pep.data.get.pre", 0, "x")])
     c.remove_rule_record("r1")
     assert c.rule_version == 2 and c.rules() == []
     with pytest.raises(NoSuchRule):

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import re
 import sys
 import threading
@@ -9,6 +10,7 @@ import pytest
 
 from pgzone.common import SYSTEM, sha256_hex
 from pgzone.drivers import ArchiveDriver, LocalFsDriver, MemDriver
+import pgzone.engine
 from pgzone.engine import PEP_NAMES, PEP_OPS
 from pgzone.errors import (
     ChecksumMismatch,
@@ -24,6 +26,7 @@ from pgzone.errors import (
     UnknownPep,
 )
 from pgzone.provenance import workflow_id_of
+from pgzone.ruledsl import parse_rules
 from pgzone.streams import pack_records
 from pgzone.testing import FaultDriver
 
@@ -168,6 +171,44 @@ def test_add_rules_is_atomic(zone):
     assert zone.engine.list_rules() == []
 
 
+def test_add_rules_is_atomic_against_a_concurrent_same_name_add(zone):
+    # Another admin adds "b" while the first add_rules call is under
+    # way, at its audit of rule "a". The call must still install both of
+    # its rules or neither, and the other admin's add must then fail.
+    outcome = {}
+
+    def other_admin():
+        try:
+            zone.engine.add_rules(
+                ADMIN, 'rule b on pep.data.get.pre do deny("other")')
+            outcome["other"] = "added"
+        except DuplicateRuleName:
+            outcome["other"] = "refused"
+
+    audit_append = zone.catalog.audit_append
+
+    def audit_then_race(actor, event, detail):
+        audit_append(actor, event, detail)
+        if (event, detail) == ("rule.add", "a") and not outcome:
+            racer = threading.Thread(target=other_admin)
+            racer.start()
+            racer.join(timeout=10)
+            assert not racer.is_alive()
+
+    zone.catalog.audit_append = audit_then_race
+    try:
+        zone.engine.add_rules(ADMIN, '''
+            rule a on pep.data.put.pre do allow()
+            rule b on pep.data.put.pre do allow()
+        ''')
+        first = "added"
+    except DuplicateRuleName:
+        first = "refused"
+    installed = {(r.name, r.pep) for r in zone.engine.list_rules()}
+    assert (first, outcome["other"]) == ("added", "refused")
+    assert installed == {("a", "pep.data.put.pre"), ("b", "pep.data.put.pre")}
+
+
 def test_duplicate_rule_name_rejected(zone):
     zone.engine.add_rules(ADMIN, 'rule r1 on pep.data.put.pre do allow()')
     with pytest.raises(DuplicateRuleName):
@@ -179,6 +220,47 @@ def test_rule_management_is_admin_only(zone):
     add_user(zone, "u")
     with pytest.raises(PermissionDenied):
         zone.engine.add_rules("u", 'rule r on pep.data.put.pre do allow()')
+
+
+def test_rule_recompiles_match_a_full_parse_and_parse_only_new_texts(
+        zone, monkeypatch):
+    rng = random.Random(1717)
+    peps = ("pep.data.put.pre", "pep.data.put.post", "pep.data.get.pre",
+            "pep.meta.add.pre")
+    parsed: list[str] = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_rules(text)
+
+    monkeypatch.setattr(pgzone.engine, "parse_rules", counting)
+    engine, catalog = zone.engine, zone.catalog
+    names = [f"r{i:02d}" for i in range(25)]
+    stored_before: set[str] = set()
+    for step in range(100):
+        stored = {r.name for r in catalog.rules()}
+        if stored and (len(stored) >= 20 or rng.random() < 0.4):
+            engine.remove_rule(ADMIN, rng.choice(sorted(stored)))
+        else:
+            free = [n for n in names if n not in stored]
+            text = "\n".join(
+                f'rule {n} priority {rng.randint(-2, 2)} '
+                f'on {rng.choice(peps)} when $obj.path matches '
+                f'"/p{rng.randrange(3)}/*" do deny("{n}")'
+                for n in rng.sample(free, min(rng.randint(1, 2),
+                                              20 - len(stored))))
+            engine.add_rules(ADMIN, text)
+        entries = catalog.rules()
+        parsed.clear()
+        for pep in PEP_NAMES:
+            brute = sorted(
+                (parse_rules(e.text)[0] for e in entries if e.pep == pep),
+                key=lambda r: (-r.priority, r.name))
+            assert engine._rules_for(pep) == brute, (step, pep)
+        texts = {e.text for e in entries}
+        assert sorted(parsed) == sorted(texts - stored_before), step
+        assert set(engine._trees) == texts, step
+        stored_before = texts
 
 
 # ---------------------------------------------------------------------------

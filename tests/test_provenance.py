@@ -9,9 +9,11 @@ from pgzone.errors import (
     PermissionDenied,
     StaleInputs,
 )
-from pgzone.provenance import static_input_paths, workflow_id_of
+import pgzone.provenance
+from pgzone.provenance import Provenance, static_input_paths, workflow_id_of
+from pgzone.ruledsl import parse_procedure
 
-from conftest import ADMIN, add_user
+from conftest import ADMIN, add_user, make_zone
 
 STAMP = '''
 procedure stamp($src, $dst, $n) {
@@ -252,3 +254,77 @@ def test_diff_flags_workflow_mismatch(zone):
     assert diff["workflow_mismatch"] is True
     assert diff["outputs"]["only_in_a"] == ["/home/wf/out.txt"]
     assert diff["outputs"]["only_in_b"] == ["/home/wf/other.txt"]
+
+
+# ---------------------------------------------------------------------------
+# The parsed procedure of each workflow id, kept per process
+# ---------------------------------------------------------------------------
+
+def count_parses(monkeypatch) -> list[str]:
+    """Every source pgzone.provenance parses from here on."""
+    parsed: list[str] = []
+
+    def counting(source):
+        parsed.append(source)
+        return parse_procedure(source)
+
+    monkeypatch.setattr(pgzone.provenance, "parse_procedure", counting)
+    return parsed
+
+
+def test_runs_and_rerun_parse_the_procedure_once(zone, monkeypatch):
+    coll, wf_id = attach_stamp(zone)
+    put_input(zone)
+    parsed = count_parses(monkeypatch)
+    runs = [run_stamp(zone, coll, wf_id, n=n) for n in range(5)]
+    zone.provenance.rerun(ADMIN, runs[0]["run_id"], {"n": 9})
+    assert parsed == [zone.provenance.workflow(wf_id)["source"]]
+
+
+def test_reopened_zone_parses_on_its_first_run(tmp_path, monkeypatch):
+    zone = make_zone(str(tmp_path))
+    coll, wf_id = attach_stamp(zone)
+    put_input(zone)
+    run_stamp(zone, coll, wf_id)
+    zone.close()
+    parsed = count_parses(monkeypatch)
+    zone = make_zone(str(tmp_path))
+    try:
+        run_stamp(zone, coll, wf_id, n=1)
+        assert len(parsed) == 1
+        run_stamp(zone, coll, wf_id, n=2)
+        assert len(parsed) == 1
+    finally:
+        zone.close()
+
+
+def test_denied_run_leaves_the_cached_tree_as_parsed(zone):
+    coll = make_wf_coll(zone)
+    source = '''
+        procedure halt($dsts) {
+            foreach $d in $dsts {
+                put_int(1, $d);
+                if $d == "/home/wf/b.txt" { deny("stop at b") }
+                else { $last = $d }
+            }
+        }
+    '''
+    wf_id = zone.provenance.attach(ADMIN, coll, source)["id"]
+    for _ in range(2):
+        rec = zone.provenance.run(ADMIN, wf_id, {"dsts": [
+            "/home/wf/a.txt", "/home/wf/b.txt", "/home/wf/c.txt"]})
+        assert rec["status"] == "failed" and "stop at b" in rec["detail"]
+        assert zone.provenance._procedures[wf_id] == parse_procedure(source)
+    assert not zone.catalog.object_exists("/home/wf/c.txt")
+
+
+def test_cached_runs_match_a_fresh_provenance(zone):
+    coll, wf_id = attach_stamp(zone)
+    put_input(zone)
+    fields = ("status", "detail", "inputs", "outputs")
+    for n in (3, 4, 3):
+        cached = run_stamp(zone, coll, wf_id, n=n)
+        fresh = Provenance(zone.engine).run(ADMIN, wf_id, {
+            "src": "/home/wf/in.dat", "dst": "/home/wf/out.txt", "n": n})
+        assert [cached[f] for f in fields] == [fresh[f] for f in fields]
+    assert len(zone.provenance._procedures) == 1
