@@ -28,6 +28,7 @@ import threading
 import urllib.error
 import urllib.request
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -328,8 +329,8 @@ class Engine:
         self._compiled_version = -1
         self._compile_lock = threading.Lock()
         # A path's lock lives while someone holds or waits for it, so
-        # the map holds only the locks in use.
-        self._path_locks = weakref.WeakValueDictionary()
+        # the map holds only the locks in use: path -> weak ref to it.
+        self._path_locks: dict[str, weakref.ref] = {}
         self._path_locks_guard = threading.Lock()
         self.run_lock = threading.Lock()  # serializes procedure runs
         self._fetch_lock = threading.Lock()
@@ -340,11 +341,19 @@ class Engine:
     # -- locks -------------------------------------------------------------
 
     def _path_lock(self, path: str) -> threading.RLock:
+        locks = self._path_locks
         with self._path_locks_guard:
-            lock = self._path_locks.get(path)
+            ref = locks.get(path)
+            lock = ref() if ref is not None else None
             if lock is None:
                 lock = threading.RLock()
-                self._path_locks[path] = lock
+                # When the lock dies, its entry goes, but only while the
+                # entry is still a dead ref: a live lock made for the path
+                # since then stays. The removal is one C call that takes
+                # no lock, so the callback cannot deadlock when the lock
+                # dies under the guard (a GC pass in this very method).
+                locks[path] = weakref.ref(
+                    lock, lambda _ref: _remove_dead_weakref(locks, path))
             return lock
 
     # -- rule base ----------------------------------------------------------

@@ -318,8 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     token = None  # a login must work whatever the old token file holds
     if args.command != "login" and token_path.exists():
         token = token_path.read_text().strip()
-    client = ZoneClient(args.server or config.server, token=token)
     try:
+        client = ZoneClient(args.server or config.server, token=token)
         if args.command == "login":
             return _cmd_login(client, token_path, args)
         payload = args.fn(client, args)

@@ -4,20 +4,27 @@ Failures surface as ClientError carrying the HTTP status plus the
 server's error name and detail, so callers can branch on .status or
 .error without parsing text.
 
-A client talks to one server over one keep-alive session. It does not
-read the environment per request: the proxies for its server URL
-(HTTP(S)_PROXY, NO_PROXY) are resolved once, at construction, and
-~/.netrc is never consulted, since a netrc entry for the server's host
-would replace the bearer token.
+A client talks to one server over one keep-alive http.client
+connection, with the standard library only. It does not read the
+environment per request: the proxy for its server URL (HTTP(S)_PROXY,
+ALL_PROXY, NO_PROXY) is resolved once, at construction, and ~/.netrc is
+never consulted, since a netrc entry for the server's host would replace
+the bearer token. https:// URLs are verified against the system's CAs.
 """
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
+import select
+import ssl
+import threading
 import uuid
-from urllib.parse import quote
-
-import requests
+import weakref
+from typing import NamedTuple
+from urllib.parse import quote, unquote, urlencode, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 
 class ClientError(Exception):
@@ -32,38 +39,117 @@ class TransportError(Exception):
     """The server could not be reached at all."""
 
 
+class Response(NamedTuple):
+    """One answer, read whole: its status, headers and body."""
+
+    status: int
+    headers: http.client.HTTPMessage
+    content: bytes
+
+    def json(self):
+        return json.loads(self.content)
+
+
+def _peer_closed(sock) -> bool:
+    """Whether an idle socket reads as ready, as urllib3's
+    is_connection_dropped asks: the peer closed it (or sent what no
+    request asked for), so it cannot carry the next request."""
+    if hasattr(select, "poll"):  # select() fails on a descriptor >= 1024
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _connect(server: str, timeout: float):
+    """The connection for server through the proxy the environment names
+    for it now, unopened; what each request path is appended to; and
+    the headers the proxy wants on each request."""
+    url = urlsplit(server)
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ValueError("the server URL must be http[s]://host[:port]")
+    https = url.scheme == "https"
+    port = url.port or (443 if https else 80)
+    kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
+    tls = {"context": ssl.create_default_context()} if https else {}
+    proxies = getproxies()
+    proxy = proxies.get(url.scheme) or proxies.get("all")
+    if not proxy or proxy_bypass(f"{url.hostname}:{port}"):
+        return kind(url.hostname, port, timeout=timeout, **tls), url.path, {}
+    purl = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    if not purl.hostname:
+        raise ValueError(f"proxy {proxy!r} names no host")
+    auth = {}
+    if purl.username is not None:
+        pair = f"{unquote(purl.username)}:{unquote(purl.password or '')}"
+        auth["Proxy-Authorization"] = \
+            "Basic " + base64.b64encode(pair.encode()).decode()
+    conn = kind(purl.hostname, purl.port or 80, timeout=timeout, **tls)
+    if https:  # a CONNECT tunnel through the proxy, TLS inside it
+        conn.set_tunnel(url.hostname, port, headers=auth)
+        return conn, url.path, {}
+    # Plain HTTP goes to the proxy whole: an absolute URL, its own auth.
+    return conn, server, auth
+
+
 class ZoneClient:
     def __init__(self, server: str, token: str | None = None,
                  timeout: float = 60.0):
         self.server = server.rstrip("/")
         self.token = token
         self.timeout = timeout
-        self._session = requests.Session()
-        self._session.trust_env = False
-        self._session.proxies = requests.utils.get_environ_proxies(
-            self.server)
+        try:
+            self._conn, self._prefix, self._headers = _connect(
+                self.server, timeout)
+        except ValueError as e:  # http.client.InvalidURL among them
+            raise TransportError(f"{self.server}: {e}") from e
+        self._lock = threading.Lock()  # one exchange at a time on the socket
+        # A dropped client closes its socket, as urllib3's pool did.
+        weakref.finalize(self, self._conn.close)
+
+    def __enter__(self) -> ZoneClient:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._conn.close()
 
     # -- plumbing ---------------------------------------------------------
 
     def _request(self, method: str, path: str, *, params=None,
-                 json_body=None, data=None) -> requests.Response:
-        headers = {"X-Request-Id": uuid.uuid4().hex}
+                 json_body=None, data=None) -> Response:
+        headers = {**self._headers, "X-Request-Id": uuid.uuid4().hex}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
-        try:
-            response = self._session.request(
-                method, self.server + path, params=params, json=json_body,
-                data=data, headers=headers, timeout=self.timeout)
-        except requests.RequestException as e:
-            raise TransportError(f"{method} {path}: {e}") from e
-        if response.status_code >= 400:
+        if json_body is not None:
+            headers["Content-Type"] = "application/json"
+            data = json.dumps(json_body).encode("utf-8")
+        target = self._prefix + path
+        if params:
+            target += "?" + urlencode(params)
+        conn = self._conn
+        with self._lock:
+            if conn.sock is not None and _peer_closed(conn.sock):
+                conn.close()  # the next request opens a fresh socket
+            try:
+                conn.request(method, target, data, headers)
+                answer = conn.getresponse()
+                response = Response(answer.status, answer.headers,
+                                    answer.read())
+            except BaseException as e:
+                # Never resent: its bytes may have reached the server.
+                conn.close()
+                if isinstance(e, (OSError, http.client.HTTPException)):
+                    raise TransportError(f"{method} {path}: {e}") from e
+                raise
+        if response.status >= 400:
             try:
                 payload = response.json()
-            except (ValueError, json.JSONDecodeError):
+            except ValueError:
                 payload = {}
-            raise ClientError(response.status_code,
-                              payload.get("error", "HTTPError"),
-                              payload.get("detail", response.text[:500]))
+            raise ClientError(
+                response.status, payload.get("error", "HTTPError"),
+                payload.get("detail",
+                            response.content[:500].decode("utf-8", "replace")))
         return response
 
     def _json(self, method: str, path: str, **kw) -> dict:

@@ -609,6 +609,25 @@ def test_path_locks_exclude_under_contention_and_then_go(zone):
     assert len(zone.engine._path_locks) == 0
 
 
+def test_path_lock_entry_goes_only_while_its_lock_is_dead(zone):
+    engine = zone.engine
+    lock = engine._path_lock("/x")
+    ref = engine._path_locks["/x"]
+    ref.__callback__(ref)  # as if an older lock's callback ran late
+    assert engine._path_locks["/x"]() is lock  # the live lock stays
+
+    def drop_under_guard():
+        nonlocal lock
+        with engine._path_locks_guard:
+            lock = None  # the lock dies, and its callback runs, right here
+
+    dropper = threading.Thread(target=drop_under_guard, daemon=True)
+    dropper.start()
+    dropper.join(timeout=10)
+    assert not dropper.is_alive()
+    assert engine._path_locks == {}
+
+
 def test_all_replicas_suspect(zone):
     from pgzone.errors import AllReplicasSuspect
     add_user(zone, "u")

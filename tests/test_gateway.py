@@ -1,9 +1,13 @@
 import argparse
+import base64
 import hashlib
+import http.client
 import json
 import os
 import shlex
+import shutil
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -12,11 +16,10 @@ import urllib.request
 from pathlib import Path
 
 import pytest
-import requests
 
 from pgzone import errors
 from pgzone.gateway.cli import build_parser, main
-from pgzone.gateway.client import ClientError, ZoneClient
+from pgzone.gateway.client import ClientError, TransportError, ZoneClient
 from pgzone.gateway.config import GatewayConfig
 from pgzone.gateway.server import MAX_BODY, GatewayServer
 from pgzone.gateway.sessions import SessionStore
@@ -133,21 +136,189 @@ def test_netrc_entry_does_not_replace_bearer_token(gw, no_proxy_env,
 
 
 def test_proxies_resolved_once_at_construction(gw, no_proxy_env):
-    dead_proxy = f"http://127.0.0.1:{free_port()}"
-    no_proxy_env.setenv("HTTP_PROXY", dead_proxy)
-    proxies = ZoneClient("http://zone.example:8442")._session.proxies
-    assert proxies == \
-        requests.utils.get_environ_proxies("http://zone.example:8442")
-    assert proxies["http"] == dead_proxy
-
-    no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
-    client = ZoneClient(gw.url)
-    assert client._session.proxies == \
-        requests.utils.get_environ_proxies(gw.url) == {}
+    # zone.invalid never resolves: the ping arrives only through the
+    # proxy, here the live gateway, which answers an absolute URL.
+    no_proxy_env.setenv("HTTP_PROXY", gw.url)
+    client = ZoneClient("http://zone.invalid:1")
     # The environment is not read again per request: were it, this ping
     # would go to the dead proxy.
-    no_proxy_env.delenv("NO_PROXY")
+    no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{free_port()}")
     assert client.ping()["zone"]
+    no_proxy_env.delenv("HTTP_PROXY")
+    assert client.ping()["zone"]
+
+
+def test_no_proxy_bypasses_a_dead_proxy(gw, no_proxy_env):
+    no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{free_port()}")
+    no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
+    client = ZoneClient(gw.url)
+    assert client.ping()["zone"]
+    no_proxy_env.delenv("NO_PROXY")  # too late to send it to the proxy
+    assert client.ping()["zone"]
+    with pytest.raises(TransportError):
+        ZoneClient(gw.url).ping()
+
+
+def test_proxy_credentials_go_to_the_proxy(gw, no_proxy_env):
+    seen = []
+    route = gw.route
+
+    def record(method, path, query, body, headers):
+        seen.append(headers.get("Proxy-Authorization"))
+        return route(method, path, query, body, headers)
+
+    gw.route = record
+    host, port = gw.address
+    no_proxy_env.setenv("HTTP_PROXY", f"http://ada:p%40ss@{host}:{port}")
+    assert ZoneClient("http://zone.invalid:1").ping()["zone"]
+    assert seen == ["Basic " + base64.b64encode(b"ada:p@ss").decode()]
+
+
+def openssl(*args, cwd):
+    subprocess.run(["openssl", *args], cwd=cwd, check=True,
+                   capture_output=True, timeout=CLI_TIMEOUT)
+
+
+@pytest.fixture
+def tls_gw(tmp_path, no_proxy_env):
+    """A gateway serving TLS with a certificate for 127.0.0.1 signed by a
+    fresh CA; yields its URL and the CA's certificate file."""
+    if shutil.which("openssl") is None:
+        pytest.skip("needs the openssl command")
+    no_proxy_env.delenv("SSL_CERT_DIR", raising=False)
+    curve = ("-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+             "-nodes")
+    openssl("req", "-x509", *curve, "-keyout", "ca.key", "-out", "ca.pem",
+            "-days", "2", "-subj", "/CN=pgzone test CA",
+            "-addext", "basicConstraints=critical,CA:TRUE",
+            "-addext", "keyUsage=critical,keyCertSign,cRLSign", cwd=tmp_path)
+    openssl("req", *curve, "-keyout", "leaf.key", "-out", "leaf.csr",
+            "-subj", "/CN=127.0.0.1", cwd=tmp_path)
+    (tmp_path / "leaf.ext").write_text(
+        "subjectAltName = IP:127.0.0.1\n"
+        "basicConstraints = critical, CA:FALSE\n"
+        "keyUsage = critical, digitalSignature\n"
+        "extendedKeyUsage = serverAuth\n"
+        "authorityKeyIdentifier = keyid\n"
+        "subjectKeyIdentifier = hash\n")
+    openssl("x509", "-req", "-in", "leaf.csr", "-CA", "ca.pem", "-CAkey",
+            "ca.key", "-CAcreateserial", "-days", "2", "-extfile",
+            "leaf.ext", "-out", "leaf.pem", cwd=tmp_path)
+    context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+    context.load_cert_chain(tmp_path / "leaf.pem", tmp_path / "leaf.key")
+    zone = make_zone()
+    server = GatewayServer(zone, host="127.0.0.1", port=0)
+    server.httpd.socket = context.wrap_socket(server.httpd.socket,
+                                              server_side=True)
+    server.start()
+    host, port = server.address
+    yield f"https://{host}:{port}", tmp_path / "ca.pem"
+    server.shutdown()
+    zone.close()
+
+
+def test_https_verifies_the_server_certificate(tls_gw, tmp_path,
+                                               no_proxy_env):
+    url, ca = tls_gw
+    no_proxy_env.setenv("SSL_CERT_FILE", str(tmp_path / "no-such-ca.pem"))
+    with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+        ZoneClient(url).ping()
+    no_proxy_env.setenv("SSL_CERT_FILE", str(ca))  # read at construction
+    client = ZoneClient(url)
+    client.login(ADMIN, ADMIN_SECRET)
+    client.put("/home/f", b"sealed")
+    assert client.get("/home/f") == b"sealed"
+
+
+def test_server_closed_idle_connection_is_replaced(gw, admin_client,
+                                                    monkeypatch):
+    """The server hangs up after each answer, with no "Connection: close"
+    to warn of it; each next call notices and opens a fresh socket."""
+    handler = gw.httpd.RequestHandlerClass
+    respond = handler._respond
+    hung_up = threading.Event()
+
+    def respond_then_hang_up(self, *args):
+        respond(self, *args)
+        self.close_connection = True
+
+    shutdown_request = gw.httpd.shutdown_request
+
+    def close_and_tell(request):
+        shutdown_request(request)
+        hung_up.set()
+
+    monkeypatch.setattr(handler, "_respond", respond_then_hang_up)
+    monkeypatch.setattr(gw.httpd, "shutdown_request", close_and_tell)
+    for call in (admin_client.ping,
+                 lambda: admin_client.put("/home/f", b"abc"),
+                 lambda: admin_client.get("/home/f"),
+                 admin_client.ping):
+        call()
+        assert hung_up.wait(5)
+        hung_up.clear()
+    assert admin_client.get("/home/f") == b"abc"
+
+
+def test_put_cut_off_after_sending_is_not_resent(gw, admin_client,
+                                                 monkeypatch):
+    """A connection that dies after the server took a PUT raises
+    TransportError; the PUT is not sent again, so one version is made."""
+    handler = gw.httpd.RequestHandlerClass
+
+    def hang_up(self, *args):
+        self.close_connection = True  # the answer is never sent
+
+    monkeypatch.setattr(handler, "_respond", hang_up)
+    with pytest.raises(TransportError):
+        admin_client.put("/home/f", b"once")
+    monkeypatch.undo()
+    puts = [r for r in gw.zone.catalog.records()
+            if r["op"] == "object.put" and r["args"]["path"] == "/home/f"]
+    assert len(puts) == 1
+    assert admin_client.stat("/home/f")["version"] == 1
+    assert admin_client.get("/home/f") == b"once"
+
+
+def test_threads_share_one_client(gw, admin_client):
+    answers, errors_seen = [], []
+
+    def pings():
+        try:
+            for _ in range(200):
+                answers.append(admin_client.ping()["zone"])
+        except Exception as e:  # noqa: BLE001 - reported below
+            errors_seen.append(e)
+
+    threads = [threading.Thread(target=pings) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert errors_seen == [] and len(answers) == 400
+
+
+def test_refused_connection_is_a_transport_error(tmp_path):
+    url = f"http://127.0.0.1:{free_port()}"
+    with ZoneClient(url) as client, pytest.raises(TransportError):
+        client.ping()
+    assert main(["--server", url, "--token-file", str(tmp_path / "t"),
+                 "ping"]) == 3
+
+
+def test_client_needs_an_http_url(tmp_path):
+    for url in ("ftp://127.0.0.1:1", "127.0.0.1:8442", "http://h:port"):
+        with pytest.raises(TransportError):
+            ZoneClient(url)
+        assert main(["--server", url, "--token-file", str(tmp_path / "t"),
+                     "ping"]) == 3
+
+
+def test_gateway_imports_no_third_party_http_library():
+    code = ("import sys, pgzone.gateway, pgzone.gateway.cli; "
+            "assert 'requests' not in sys.modules, 'requests imported'")
+    subprocess.run([sys.executable, "-c", code], env=cli_env(), check=True,
+                   timeout=CLI_TIMEOUT)
 
 
 class _OpenCatalog:
@@ -343,6 +514,16 @@ def test_malformed_rule_is_400(gw, admin_client):
 JUNK = ([], {}, 7, None, True, [["a"]])
 
 
+def post_json(conn, route, token, body) -> tuple[int, str]:
+    """POST body as JSON on a bare http.client connection, bypassing
+    ZoneClient's argument handling; the answer's status and text."""
+    conn.request("POST", route, json.dumps(body),
+                 {"Authorization": f"Bearer {token}",
+                  "Content-Type": "application/json"})
+    answer = conn.getresponse()
+    return answer.status, answer.read().decode("utf-8", "replace")
+
+
 def test_malformed_json_fields_are_4xx_and_never_journaled(tmp_path):
     """Junk in place of any field of a JSON body answers 4xx and stores
     nothing, so queries still answer and the zone reopens to the same
@@ -384,18 +565,19 @@ def test_malformed_json_fields_are_4xx_and_never_journaled(tmp_path):
             "/drivers": {"name": "d", "code": DRIVER_CODE},
         }
         answers = {}
-        with requests.Session() as session:
-            session.headers["Authorization"] = f"Bearer {admin.token}"
+        conn = http.client.HTTPConnection(*server.address)
+        try:
             for route, body in bodies.items():
                 for field, good in body.items():
                     for junk in JUNK:
                         if isinstance(good, dict) and junk == {} or \
                                 isinstance(good, int) and junk == 7:
                             continue
-                        answer = session.post(server.url + route,
-                                              json={**body, field: junk})
-                        answers[route, field, json.dumps(junk)] = \
-                            answer.status_code
+                        answers[route, field, json.dumps(junk)] = post_json(
+                            conn, route, admin.token,
+                            {**body, field: junk})[0]
+        finally:
+            conn.close()
         assert {pair: status for pair, status in answers.items()
                 if not 400 <= status < 500} == {}
         assert admin.meta_query('name like "*"') == []
@@ -566,11 +748,13 @@ def test_dynamic_code_requires_admin(dyn_gw):
 def test_microservice_arity_must_be_counts(dyn_gw, counts):
     c = ZoneClient(dyn_gw.url)
     c.login(ADMIN, ADMIN_SECRET)
-    answer = requests.post(
-        dyn_gw.url + "/microservices",
-        headers={"Authorization": f"Bearer {c.token}"},
-        json={"name": "m", "code": MS_CODE, **counts})
-    assert answer.status_code == 400, answer.text
+    conn = http.client.HTTPConnection(*dyn_gw.address)
+    try:
+        status, text = post_json(conn, "/microservices", c.token,
+                                 {"name": "m", "code": MS_CODE, **counts})
+    finally:
+        conn.close()
+    assert status == 400, text
     c.register_microservice("m", MS_CODE, 2)  # the name is still free
 
 
