@@ -1,5 +1,6 @@
 """Time of one enforcement-point firing, of the first firing after a rule
-change, and of one procedure run.
+change, of one procedure run, and of parsing rules, a procedure and a
+metadata query.
 
   python3 bench/policy.py --src change=src --src parent=../old/src \
       --out BENCH_policy.json
@@ -19,6 +20,9 @@ call on its own:
 - run: `Provenance.run` of a 3-step procedure like perfbench's
   `stamp_procedure` (checksum, set_avu, put_int), after one untimed
   run; --calls runs.
+- parse: `parse_rules` of perfbench's 3-rule base, `parse_procedure`
+  of the 3-step procedure above, and `AvuPredicate.parse` of a 2-clause
+  query like the benchmark's; --calls parses of each.
 
 A process reports the median per call of each; the result is the
 median over processes, with the sources run in a different order on
@@ -36,6 +40,8 @@ REPEATS = 5
 
 MEASURE = """
 import json, sys, time
+from pgzone.catalog import AvuPredicate
+from pgzone.ruledsl import parse_procedure, parse_rules
 from pgzone.zone import Zone
 
 calls, changes = int(sys.argv[1]), int(sys.argv[2])
@@ -50,6 +56,29 @@ def median_us(took):
 def rules(pep, names):
     return "\\n".join(f'rule {n} on {pep} when $obj.path matches "/{n}/*" '
                       f'do deny("{n}")' for n in names)
+
+def parse_us(parse, text):
+    took = []
+    for _ in range(calls):
+        start = clock()
+        parse(text)
+        took.append(clock() - start)
+    return median_us(took)
+
+BASE_RULES = '''
+rule tag_raw on pep.data.put.post when $obj.path matches "*/raw/*"
+    do set_avu($obj.path, "tier", "raw")
+rule no_tmp on pep.data.put.pre when $obj.path matches "/tmp/*"
+    do deny("no writes under /tmp")
+rule guests_read_only on pep.meta.add.pre when $user.role == "guest"
+    do deny("guests may not tag")
+'''
+STAMP = '''
+procedure stamp($src, $dst, $n) {
+    $c = checksum($src);
+    set_avu($src, "seen.checksum", $c);
+    put_int($n, $dst)
+}'''
 
 def fire(engine, expect):
     start = clock()
@@ -88,12 +117,7 @@ with Zone(admin_secret="pw", default_resource="main") as zone:
         result[f"after_add.{size}"] = median_us(added)
         result[f"after_remove.{size}"] = median_us(removed)
     zone.catalog.make_collection(ADMIN, "/home/wf", kind="workflow")
-    wf = zone.provenance.attach(ADMIN, "/home/wf", '''
-procedure stamp($src, $dst, $n) {
-    $c = checksum($src);
-    set_avu($src, "seen.checksum", $c);
-    put_int($n, $dst)
-}''')
+    wf = zone.provenance.attach(ADMIN, "/home/wf", STAMP)
     engine.put(ADMIN, "/home/wf/in.dat", b"x" * 100)
     took = []
     for n in range(calls + 1):
@@ -105,6 +129,10 @@ procedure stamp($src, $dst, $n) {
         if record["status"] != "ok":
             sys.exit(f"run failed: {record['detail']}")
     result["run"] = median_us(took[1:])
+result["parse_rules"] = parse_us(parse_rules, BASE_RULES)
+result["parse_procedure"] = parse_us(parse_procedure, STAMP)
+result["parse_query"] = parse_us(
+    AvuPredicate.parse, 'name = "exp.site" and value like "ab*"')
 print(json.dumps(result))
 """
 
@@ -129,7 +157,10 @@ def main() -> None:
                 "matching. after_add.N / after_remove.N: the first "
                 "fire_pep after adding / removing one rule, with N "
                 "rules stored on another point. run: Provenance.run of "
-                "a 3-step procedure. Journal in memory, mem driver",
+                "a 3-step procedure. parse_rules: the 3-rule base; "
+                "parse_procedure: that procedure; parse_query: "
+                "AvuPredicate.parse of a 2-clause query. Journal in "
+                "memory, mem driver",
         **machine(srcs, args.note),
         "calls": args.calls,
         "changes": args.changes,

@@ -80,6 +80,7 @@ from .errors import (
     ZoneError,
 )
 from .journal import Journal, canonical_json, validate_record, SNAPSHOT_EVERY
+from .ruledsl.lexer import TOKEN_RE, unescape
 
 log = logging.getLogger("pgzone.catalog")
 
@@ -199,20 +200,16 @@ def parent_path(path: str) -> str:
 # Metadata query predicate
 # --------------------------------------------------------------------------
 
-_PRED_TOKEN = re.compile(
-    r'\s*(?:(?P<field>name|value|comment)\b'
-    r'|(?P<op>!=|=|\blike\b)'
-    r'|(?P<conj>\band\b|&&)'
-    r'|"(?P<lit>(?:[^"\\\n]|\\["\\n])*)")'
-)
-
 _FIELDS = ("name", "value")
+_OPS = ("=", "!=", "like")
+_CONJS = ("and", "&&")
 
 
 class AvuPredicate:
     """Conjunction of (field op literal) clauses over attribute name and
     value; op is =, !=, or like (glob with * and ?). A path matches when
-    at least one of its triples satisfies every clause.
+    at least one of its triples satisfies every clause. The text is
+    lexed by the rule language's TOKEN_RE, skipping only whitespace.
     """
 
     def __init__(self, clauses: list[tuple[str, str, str]]):
@@ -221,7 +218,7 @@ class AvuPredicate:
         for field, op, _lit in clauses:
             if field not in _FIELDS:
                 raise MalformedPredicate(f"unknown field {field!r}")
-            if op not in ("=", "!=", "like"):
+            if op not in _OPS:
                 raise MalformedPredicate(f"unknown operator {op!r}")
         self.clauses = list(clauses)
 
@@ -229,38 +226,20 @@ class AvuPredicate:
     def parse(cls, text: str) -> "AvuPredicate":
         if not isinstance(text, str):
             raise MalformedPredicate("predicate must be a string")
-        pos = 0
-        clauses: list[tuple[str, str, str]] = []
-        expect_clause = True
-        while pos < len(text):
-            if text[pos:].strip() == "":
+        words = [m[0] for m in TOKEN_RE.finditer(text) if m.lastgroup != "WS"]
+        clauses = []
+        for i in range(0, len(words) - 2, 4):
+            lit = words[i + 2]
+            # Only a STRING token starts with '"' and is longer than one
+            # character: ERROR takes a lone '"'.
+            if lit[0] != '"' or lit == '"' or i and words[i - 1] not in _CONJS:
                 break
-            if expect_clause:
-                field = cls._take(text, pos, "field")
-                pos = field[1]
-                op = cls._take(text, pos, "op")
-                pos = op[1]
-                lit = cls._take(text, pos, "lit")
-                pos = lit[1]
-                raw = lit[0].replace('\\"', '"').replace("\\\\", "\\") \
-                            .replace("\\n", "\n")
-                clauses.append((field[0], op[0], raw))
-                expect_clause = False
-            else:
-                conj = cls._take(text, pos, "conj")
-                pos = conj[1]
-                expect_clause = True
-        if expect_clause:
-            raise MalformedPredicate("dangling conjunction or empty predicate")
-        return cls(clauses)
-
-    @staticmethod
-    def _take(text: str, pos: int, group: str) -> tuple[str, int]:
-        m = _PRED_TOKEN.match(text, pos)
-        if m is None or m.lastgroup != group:
+            clauses.append((words[i], words[i + 1], unescape(lit[1:-1])))
+        if 4 * len(clauses) - 1 != len(words):
             raise MalformedPredicate(
-                f"expected {group} at offset {pos} in {text!r}")
-        return m.group(group), m.end()
+                'expected clauses name|value =|!=|like "literal" joined by '
+                f"and or &&, got {text!r}")
+        return cls(clauses)  # which checks each field and op
 
     def matches_triple(self, name: str, value: str) -> bool:
         for field, op, lit in self.clauses:

@@ -16,6 +16,7 @@ import argparse
 import getpass
 import json
 import logging
+import signal
 import sys
 from pathlib import Path
 
@@ -254,11 +255,15 @@ def _cmd_serve(args) -> int:
     host, port = server.address
     print(f"zone {config.zone_name!r} listening on http://{host}:{port}",
           flush=True)
+    # SIGTERM (kill, docker stop, systemd) stops the zone as Ctrl-C does,
+    # so that the shutdown below and the journal's fsync in close() run.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.shutdown()
         zone.close()
     return EXIT_OK

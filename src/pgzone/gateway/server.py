@@ -19,7 +19,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import socket
 import threading
+import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
@@ -105,6 +107,11 @@ class GatewayServer:
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self.httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
+        # Each open connection and the thread that serves it; once
+        # _closing is set, a handler takes no further request.
+        self._handlers: dict[socket.socket, threading.Thread] = {}
+        self._handlers_guard = threading.Lock()
+        self._closing = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -125,8 +132,23 @@ class GatewayServer:
         self.httpd.serve_forever()
 
     def shutdown(self) -> None:
+        """Stop accepting, then end every open connection: a request in
+        flight still gets its answer, and an idle one reads end of input
+        at once. Waits up to 5 s for their handlers, so that no request
+        reaches the zone after this returns."""
         self.httpd.shutdown()
         self.httpd.server_close()
+        with self._handlers_guard:
+            self._closing = True
+            handlers = dict(self._handlers)
+        for conn in handlers:
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:  # the peer has already gone
+                pass
+        deadline = time.monotonic() + 5
+        for thread in handlers.values():
+            thread.join(max(0.0, deadline - time.monotonic()))
         if self._thread is not None:
             self._thread.join(timeout=5)
 
@@ -428,6 +450,23 @@ def _make_handler(gateway: GatewayServer):
         def log_message(self, fmt, *args):
             log.debug("%s " + fmt, self.address_string(), *args)
 
+        def setup(self):
+            super().setup()
+            with gateway._handlers_guard:
+                gateway._handlers[self.connection] = \
+                    threading.current_thread()
+
+        def finish(self):
+            with gateway._handlers_guard:
+                del gateway._handlers[self.connection]
+            super().finish()
+
+        def handle(self):
+            # BaseHTTPRequestHandler.handle, which stops at shutdown too.
+            self.close_connection = False
+            while not (self.close_connection or gateway._closing):
+                self.handle_one_request()
+
         def _read_body(self) -> bytes:
             text = self.headers.get("Content-Length") or "0"
             length = int(text) if text.isascii() and text.isdigit() else -1
@@ -437,7 +476,12 @@ def _make_handler(gateway: GatewayServer):
                 self.close_connection = True
                 raise ValueError(
                     f"Content-Length must be 0..{MAX_BODY}, got {text!r}")
-            return self.rfile.read(length) if length else b""
+            body = self.rfile.read(length) if length else b""
+            if len(body) != length:  # the peer or a shutdown ended it
+                self.close_connection = True
+                raise ValueError(
+                    f"body ended after {len(body)} of {length} bytes")
+            return body
 
         def _respond(self, status: int, data: bytes, content_type: str,
                      extra: dict | None = None) -> None:

@@ -1,14 +1,19 @@
-"""Tokenizer for the rule / procedure language.
+"""Tokens of the rule / procedure language and of metadata queries.
 
-Iterative (no recursion), total over arbitrary input: anything that is not
-a token raises ParseError with the offending line and column. "#" starts a
-comment running to end of line. Identifiers may be dotted (PEP names,
-variables); keywords are reserved identifiers.
+TOKEN_RE holds every token kind as a named group, and its ERROR group
+takes any one character, so finditer matches the whole text. Rule and
+procedure texts skip WS (any Unicode whitespace) and COMMENT ("#" to end
+of line); a metadata query (catalog.AvuPredicate) skips only WS.
+Identifiers may be dotted; keywords are reserved identifiers. String
+literals have three escapes, \\" \\\\ and \\n: unescape decodes them and
+escape_string writes them. tokenize is total over arbitrary input: what
+is not a token raises ParseError with its line and column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import ParseError
 
@@ -18,21 +23,26 @@ KEYWORDS = frozenset({
     "matches", "true", "false",
 })
 
-# Two-char operators first so max-munch works.
-_TWO_CHAR = {"==", "!=", "<=", ">=", "&&", "||"}
-_ONE_CHAR = set("()={}<>+-*/;,!")
-
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-)
-_DIGITS = frozenset("0123456789")
-_IDENT_CONT = _IDENT_START | _DIGITS
-
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)*"
+# A string literal's body: no quote, backslash or newline except in one
+# of the three escapes. INT is [0-9], not \d, which also takes U+00B3.
+_BODY = r'[^"\\\n]*(?:\\["\\n][^"\\\n]*)*'
+TOKEN_RE = re.compile(rf"""
+    (?P<WS>\s+)
+  | (?P<COMMENT>\#[^\n]*)
+  | (?P<VAR>\${_IDENT})
+  | (?P<NAME>{_IDENT})
+  | (?P<INT>[0-9]+)
+  | (?P<STRING>"{_BODY}")
+  | (?P<OP>==|!=|<=|>=|&&|\|\||[-()={{}}<>+*/;,!])
+  | (?P<ERROR>.)
+""", re.VERBOSE)
+_STRING_START = re.compile(f'"{_BODY}')
+_ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # NAME KEYWORD VAR INT STRING OP EOF
     value: str
     line: int
@@ -43,111 +53,58 @@ class Token:
         return int(self.value)
 
 
+def unescape(body: str) -> str:
+    """The text of a STRING token, given without its quotes."""
+    if "\\" not in body:
+        return body
+    return _ESCAPE.sub(lambda m: _ESCAPES[m.group(1)], body)
+
+
+def escape_string(s: str) -> str:
+    """The body of a string literal that unescape reads back as s."""
+    return s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    line, col = 1, 1
-
-    def err(msg: str) -> ParseError:
-        return ParseError(msg, line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0  # line_start: offset of the line's first char
+    for m in TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value = m[0]
+        start = m.start()
+        if kind == "WS" or kind == "COMMENT":
+            if "\n" in value:  # only WS holds one
+                line += value.count("\n")
+                line_start = start + value.rindex("\n") + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-
-        start_line, start_col = line, col
-
-        if ch == "$":
-            j = i + 1
-            if j >= n or text[j] not in _IDENT_START:
-                raise err("expected variable name after '$'")
-            j += 1
-            while j < n and (text[j] in _IDENT_CONT or
-                             (text[j] == "." and j + 1 < n and text[j + 1] in _IDENT_CONT)):
-                j += 1
-            name = text[i + 1:j]
-            tokens.append(Token("VAR", name, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        if ch in _IDENT_START:
-            j = i + 1
-            while j < n and (text[j] in _IDENT_CONT or
-                             (text[j] == "." and j + 1 < n and text[j + 1] in _IDENT_CONT)):
-                j += 1
-            word = text[i:j]
-            kind = "KEYWORD" if word in KEYWORDS else "NAME"
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        if ch in _DIGITS:  # ASCII only; str.isdigit also matches U+00B3 etc.
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            digits = text[i:j]
-            if len(digits) > 19:  # definitely exceeds 2**63
-                raise err("integer literal out of range")
-            tokens.append(Token("INT", digits, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        if ch == '"':
-            j = i + 1
-            buf: list[str] = []
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated string", start_line, start_col)
-                c = text[j]
-                if c == '"':
-                    j += 1
-                    break
-                if c == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                if c == "\\":
-                    if j + 1 >= n:
-                        raise ParseError("unterminated string", start_line, start_col)
-                    esc = text[j + 1]
-                    if esc not in _ESCAPES:
-                        raise ParseError(f"unknown escape '\\{esc}'", line, col + (j - i))
-                    buf.append(_ESCAPES[esc])
-                    j += 2
-                    continue
-                buf.append(c)
-                j += 1
-            tokens.append(Token("STRING", "".join(buf), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        two = text[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("OP", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("OP", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        raise err(f"unexpected character {ch!r}")
-
-    tokens.append(Token("EOF", "", line, col))
+        col = start - line_start + 1
+        if kind == "NAME":
+            if value in KEYWORDS:
+                kind = "KEYWORD"
+        elif kind == "STRING":
+            value = unescape(value[1:-1])
+        elif kind == "VAR":
+            value = value[1:]
+        elif kind == "INT":
+            if len(value) > 19:  # definitely exceeds 2**63
+                raise ParseError("integer literal out of range", line, col)
+        elif kind == "ERROR":
+            raise _error(text, start, line, col)
+        tokens.append(Token(kind, value, line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
+
+
+def _error(text: str, start: int, line: int, col: int) -> ParseError:
+    """Why no token but ERROR starts at text[start]."""
+    ch = text[start]
+    if ch == "$":
+        return ParseError("expected variable name after '$'", line, col)
+    if ch != '"':
+        return ParseError(f"unexpected character {ch!r}", line, col)
+    # The literal stops at a newline, at the end, or at a backslash.
+    end = _STRING_START.match(text, start).end()
+    if text[end:end + 1] != "\\" or end + 1 == len(text):
+        return ParseError("unterminated string", line, col)
+    return ParseError(f"unknown escape '\\{text[end + 1]}'", line,
+                      col + end - start)

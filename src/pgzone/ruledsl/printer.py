@@ -26,10 +26,7 @@ from .ast import (
     Unary,
     Var,
 )
-
-
-def escape_string(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+from .lexer import escape_string
 
 
 def print_expr(expr: Expr, parent_prec: int = 0) -> str:

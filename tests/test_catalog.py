@@ -19,6 +19,7 @@ from pgzone.errors import (
     PermissionDenied,
 )
 from pgzone.journal import SNAPSHOT_EVERY
+from pgzone.ruledsl.lexer import escape_string
 
 from conftest import ADMIN, ADMIN_SECRET, add_user, make_zone
 
@@ -288,11 +289,30 @@ def test_predicate_parse_rejects(bad):
         AvuPredicate.parse(bad)
 
 
+def test_query_literal_escapes_decode_as_in_rules():
+    """A query decodes the escapes of a literal as a rule text does."""
+    c = fresh_catalog()
+    put(c, "/backslash")
+    put(c, "/newline")
+    c.add_avu("admin", "/backslash", "k", "a\\nb")
+    c.add_avu("admin", "/newline", "k", "a\nb")
+    assert c.query_avu('value = "a\\\\nb"') == ["/backslash"]
+    assert c.query_avu('value = "a\\nb"') == ["/newline"]
+
+
+def test_predicate_has_no_comments():
+    with pytest.raises(MalformedPredicate):
+        AvuPredicate.parse('name = "a" # and value = "b"')
+    with pytest.raises(MalformedPredicate):
+        AvuPredicate.parse('name = "a"#')
+
+
 def test_avu_query_matches_linear_oracle():
     rng = random.Random(11)
     c = fresh_catalog()
     names = ["exp.run", "exp.site", "color", "size", "owner.lab"]
-    values = ["a", "b", "ab", "a/b", "x1", "x2", ""]
+    values = ["a", "b", "ab", "a/b", "x1", "x2", "", '"', "\\", "a\nb",
+              "a\\nb"]
     triples: dict[str, list[tuple[str, str]]] = {}
     for i in range(120):
         path = f"/obj{i:03d}"
@@ -313,7 +333,7 @@ def test_avu_query_matches_linear_oracle():
             lit = rng.choice(values + ["exp.*", "?", "*1", "a*b"])
             clauses.append((field, op, lit))
         text = " and ".join(
-            f'{f} {op} "{lit}"' for f, op, lit in clauses)
+            f'{f} {op} "{escape_string(lit)}"' for f, op, lit in clauses)
 
         def clause_ok(triple, clause):
             f, op, lit = clause

@@ -24,6 +24,7 @@ from pgzone.gateway.config import GatewayConfig
 from pgzone.gateway.server import MAX_BODY, GatewayServer
 from pgzone.gateway.sessions import SessionStore
 from pgzone.testing import free_port
+from pgzone.zone import Zone
 
 from conftest import ADMIN, ADMIN_SECRET, DRIVER_CODE, add_user, make_zone
 
@@ -102,6 +103,20 @@ def test_bad_content_length_is_400_and_closes(gw, length):
     assert reply.startswith(b"HTTP/1.1 400 ")
     assert reply.count(b"HTTP/1.1 ") == 1
     assert ZoneClient(gw.url).ping()["zone"]
+
+
+def test_body_cut_short_is_400_and_never_stored(gw, admin_client):
+    # The client stops sending 3 bytes into a 10-byte body.
+    with socket.create_connection(gw.address, timeout=3) as sock:
+        sock.sendall(b"PUT /data/home/short HTTP/1.1\r\nHost: x\r\n"
+                     b"Authorization: Bearer " + admin_client.token.encode()
+                     + b"\r\nContent-Length: 10\r\n\r\nabc")
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(4096):  # socket.timeout fails the test
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert not gw.zone.catalog.path_exists("/home/short")
 
 
 def test_keepalive_requests_do_not_stall(gw):
@@ -296,6 +311,61 @@ def test_threads_share_one_client(gw, admin_client):
     for t in threads:
         t.join(60)
     assert errors_seen == [] and len(answers) == 400
+
+
+def test_shutdown_ends_keepalive_connections(tmp_path):
+    """A client that connected before the shutdown is not served after
+    it: its next call fails, nothing more is journaled, and the handler
+    thread that served it has ended."""
+    zone = make_zone(journal_dir=tmp_path / "journal")
+    before = set(threading.enumerate())
+    gw = GatewayServer(zone, host="127.0.0.1", port=free_port()).start()
+    client = ZoneClient(gw.url)
+    client.login(ADMIN, ADMIN_SECRET)
+    client.put("/home/g", b"before")
+    served_by = set(threading.enumerate()) - before  # the server's threads
+    assert len(served_by) >= 2
+    gw.shutdown()
+    assert not any(t.is_alive() for t in served_by)
+    journaled = len(zone.catalog.records())
+    with pytest.raises(TransportError):
+        client.ping()
+    with pytest.raises(TransportError):
+        client.put("/home/g", b"after")
+    assert len(zone.catalog.records()) == journaled
+    zone.close()
+    reopened = make_zone(journal_dir=tmp_path / "journal")
+    assert reopened.catalog.get_object("/home/g").version == 1
+    reopened.close()
+
+
+def test_shutdown_lets_a_request_in_flight_answer(gw, admin_client,
+                                                  monkeypatch):
+    entered, release = threading.Event(), threading.Event()
+    route = gw.route
+
+    def held_route(*args):
+        entered.set()
+        release.wait(10)
+        return route(*args)
+
+    monkeypatch.setattr(gw, "route", held_route)
+    answers = []
+    put = threading.Thread(
+        target=lambda: answers.append(admin_client.put("/home/f", b"x")))
+    put.start()
+    assert entered.wait(5)
+    stopper = threading.Thread(target=gw.shutdown)
+    stopper.start()
+    stopper.join(0.3)
+    assert stopper.is_alive()  # it waits for the request in flight
+    release.set()
+    put.join(10)
+    stopper.join(10)
+    assert not stopper.is_alive()
+    assert answers and answers[0]["version"] == 1
+    with pytest.raises(TransportError):
+        admin_client.ping()
 
 
 def test_refused_connection_is_a_transport_error(tmp_path):
@@ -841,6 +911,35 @@ def test_cli_against_live_server(tmp_path):
             server.kill()
             server.wait()
         server.stdout.close()
+
+
+def test_serve_stops_cleanly_on_sigterm(tmp_path):
+    """kill, docker stop and systemd send SIGTERM: `pg serve` shuts the
+    gateway down and closes the zone, as on Ctrl-C, and exits 0."""
+    port = free_port()
+    env = cli_env(
+        PG_ADMIN_SECRET=ADMIN_SECRET,
+        PG_BIND_PORT=str(port),
+        PG_JOURNAL_DIR=str(tmp_path / "journal"),
+        PG_DATA_ROOT=str(tmp_path / "blobs"),
+    )
+    server = subprocess.Popen(
+        [sys.executable, "-m", "pgzone.gateway.cli", "serve"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    try:
+        assert "listening" in read_line(server, CLI_TIMEOUT)
+        with ZoneClient(f"http://127.0.0.1:{port}") as client:
+            client.login(ADMIN, ADMIN_SECRET)
+            client.put("/home/f", b"kept")
+            server.terminate()
+            assert server.wait(timeout=CLI_TIMEOUT) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stdout.close()
+    with Zone(journal_dir=tmp_path / "journal") as zone:
+        assert zone.catalog.get_object("/home/f").version == 1
 
 
 def test_cli_transport_error_exit_code(tmp_path):

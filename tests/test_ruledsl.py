@@ -81,6 +81,24 @@ def test_lexer_error_carries_position():
     assert e.value.line == 2 and e.value.column == 3
 
 
+def test_lexer_end_after_trailing_comment_is_the_true_end():
+    text = "rule r on pep.data.put.pre do # c"
+    end = tokenize(text)[-1]
+    assert (end.kind, end.line, end.column) == ("EOF", 1, len(text) + 1)
+    with pytest.raises(ParseError) as e:
+        parse_rules(text)
+    assert (e.value.line, e.value.column) == (1, len(text) + 1)
+
+
+@pytest.mark.parametrize("space", ["\f", "\xa0", "\u3000"])
+def test_rule_with_unicode_whitespace_between_tokens_parses(space):
+    (rule,) = parse_rules(
+        f"rule r{space}on pep.data.get.pre{space}do{space}allow()\n"
+        f"{space}")
+    assert (rule.name, rule.pep, rule.actions) == (
+        "r", "pep.data.get.pre", [Allow()])
+
+
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
