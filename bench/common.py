@@ -1,6 +1,7 @@
 """What the scripts in bench/ share: the --src/--out/--note arguments,
 running a snippet in a fresh process over one source tree, the order of
-sources on each repeat, the machine header and the write-out.
+sources on each repeat, the paired ratios of the sources' repeats, the
+machine header and the write-out.
 
 Each script compares one or more pgzone source trees, named on the
 command line as --src NAME=PATH, and writes one JSON document.
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +46,25 @@ def rotated(items: list, rep: int) -> list:
     machine's drift in speed hits every source alike."""
     k = rep % len(items)
     return items[k:] + items[:k]
+
+
+def paired(runs: dict[str, dict[str, list[float]]]) -> dict:
+    """For each source after the first, each row's ratio to the first
+    source in every repeat, the median of those ratios, and in how many
+    repeats the source was lower. The processes of one repeat run back to
+    back, so a ratio leaves out which speed level the machine was at."""
+    first, *rest = runs
+    result: dict[str, dict] = {}
+    for name in rest:
+        result[name] = {}
+        for key, values in runs[name].items():
+            ratios = [x / base for x, base in zip(values, runs[first][key])]
+            result[name][key] = {
+                "ratios": [round(r, 3) for r in ratios],
+                "median": round(statistics.median(ratios), 3),
+                "won": sum(r < 1 for r in ratios),
+            }
+    return result
 
 
 def cpu_model() -> str:

@@ -9,9 +9,9 @@ For each --src, REPEATS fresh processes each build a zone with an
 in-memory journal and the `mem` driver, and time three things, each
 call on its own:
 
-- fire: `Engine.fire_pep` of `pep.data.get.pre` when 3 or 100 rules
-  sit on that point and none matches, so every condition is evaluated;
-  --calls firings at each size.
+- fire: `Engine.fire_pep` of `pep.data.get.pre` when 3, 100 or 1000
+  rules sit on that point and none matches, so every condition is
+  evaluated; --calls firings at each size.
 - first firing after a rule change: with 10, 100 or 1000 rules stored
   on another point, add one rule on `pep.data.get.pre`, time the next
   firing, remove the rule, and time the next firing again; --changes
@@ -26,7 +26,8 @@ call on its own:
 
 A process reports the median per call of each; the result is the
 median over processes, with the sources run in a different order on
-each repeat. Writes the medians, and each run, as JSON.
+each repeat. Writes the medians, each run, and for each source after
+the first its per-repeat ratio to the first, as JSON.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import json
 import statistics
 
-from common import arg_parser, machine, rotated, run, sources, write
+from common import arg_parser, machine, paired, rotated, run, sources, write
 
 REPEATS = 5
 
@@ -93,7 +94,7 @@ with Zone(admin_secret="pw", default_resource="main") as zone:
     zone.ensure_resource(ADMIN, "main", "mem", "/blobs/main", "cache")
     engine = zone.engine
     have = 0
-    for size in (3, 100):
+    for size in (3, 100, 1000):
         engine.add_rules(ADMIN, rules("pep.data.get.pre",
                                       [f"f{i}" for i in range(have, size)]))
         have = size
@@ -160,7 +161,9 @@ def main() -> None:
                 "a 3-step procedure. parse_rules: the 3-rule base; "
                 "parse_procedure: that procedure; parse_query: "
                 "AvuPredicate.parse of a 2-clause query. Journal in "
-                "memory, mem driver",
+                "memory, mem driver. ratio_to_first: per repeat, a "
+                "source's time over the first source's, their median, "
+                "and the repeats in which it was faster",
         **machine(srcs, args.note),
         "calls": args.calls,
         "changes": args.changes,
@@ -170,6 +173,7 @@ def main() -> None:
         "us_runs": {name: {k: [round(x, 2) for x in v]
                            for k, v in per.items()}
                     for name, per in runs.items()},
+        "ratio_to_first": paired(runs),
     }
     write(result, args.out)
 

@@ -886,12 +886,14 @@ class Catalog:
                     "text": text,
                 })
 
-    def remove_rule_record(self, name: str) -> int:
+    def remove_rule_record(self, name: str) -> str:
+        """Commit one rule.remove; returns the point the rule was on."""
         with self._lock:
-            if name not in self._rules:
+            rule = self._rules.get(name)
+            if rule is None:
                 raise NoSuchRule(name)
             self._commit("rule.remove", {"name": name})
-            return self._rule_version
+            return rule["pep"]
 
     def rules(self) -> list[RuleEntryView]:
         with self._lock:

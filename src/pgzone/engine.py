@@ -18,8 +18,10 @@ re-enter the enforcement points, so policy evaluation cannot recurse.
 
 Rule dispatch is first match wins over rules for the point, ordered by
 descending priority then ascending name; when nothing matches the
-verdict is Allow. The compiled rule set is snapshotted per firing, so a
-concurrent rule-base edit affects the next firing, never one in flight.
+verdict is Allow. A rule is parsed when it is added or when the zone
+opens. Each rule change replaces the dispatch table, so a firing never
+parses or sorts, and a concurrent edit affects the next firing, never
+one in flight.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .drivers import Driver, DriverRegistry
 from .errors import (
     AllReplicasSuspect,
     ChecksumMismatch,
+    CorruptJournal,
     Denied,
     DriverError,
     DuplicateName,
@@ -259,26 +262,20 @@ _BUILTINS = (
 READING_MICROSERVICES = frozenset({"checksum", "replicate_to"})
 
 
+def _table_with(rules: list[RuleAst], table: dict) -> dict:
+    """A new dispatch table: table plus rules, each point's rules in
+    descending priority, then ascending name."""
+    table = dict(table)
+    for pep in {rule.pep for rule in rules}:
+        table[pep] = tuple(sorted(
+            [*table.get(pep, ()), *(r for r in rules if r.pep == pep)],
+            key=lambda r: (-r.priority, r.name)))
+    return table
+
+
 # --------------------------------------------------------------------------
 # Chain execution
 # --------------------------------------------------------------------------
-
-class _Scope:
-    """Variable environment for chain evaluation: locals layered over
-    the read-only bindings the engine supplies at the firing."""
-
-    def __init__(self, system: Mapping[str, Value]):
-        self.system = system
-        self.locals: dict[str, Value] = {}
-
-    def __getitem__(self, name: str) -> Value:
-        if name in self.locals:
-            return self.locals[name]
-        return self.system[name]
-
-    def bind(self, name: str, value: Value) -> None:
-        self.locals[name] = value
-
 
 class _VerdictSignal(Exception):
     """Internal control flow: allow() / deny() unwinding a chain."""
@@ -324,10 +321,8 @@ class Engine:
         self.microservices = MicroServiceRegistry()
         for name, fn, lo, hi in _BUILTINS:
             self.microservices.register(name, fn, lo, hi)
-        self._compiled: dict[str, list[RuleAst]] = {}
-        self._trees: dict[str, RuleAst] = {}  # stored rule text -> its tree
-        self._compiled_version = -1
-        self._compile_lock = threading.Lock()
+        self._rules_lock = threading.Lock()  # serializes rule changes
+        self._load_table()  # point -> its rules in dispatch order
         # A path's lock lives while someone holds or waits for it, so
         # the map holds only the locks in use: path -> weak ref to it.
         self._path_locks: dict[str, weakref.ref] = {}
@@ -358,6 +353,17 @@ class Engine:
 
     # -- rule base ----------------------------------------------------------
 
+    def _load_table(self) -> None:
+        """Build the dispatch table from the stored rules."""
+        trees = []
+        for entry in self.catalog.rules():
+            try:
+                (tree,) = parse_rules(entry.text)
+            except (ZoneError, ValueError) as e:
+                raise CorruptJournal(f"stored rule {entry.name!r}: {e}") from e
+            trees.append(tree)
+        self._table: dict[str, tuple[RuleAst, ...]] = _table_with(trees, {})
+
     def add_rules(self, caller: str, text: str) -> list[str]:
         """Parse and install one or more rules; atomic per call: either
         every rule in the text is installed or none is, even when another
@@ -375,43 +381,34 @@ class Engine:
             if rule.name in seen:
                 raise DuplicateName(f"rule {rule.name!r} repeated in input")
             seen.add(rule.name)
-        self.catalog.add_rule_records(
-            [(r.name, r.pep, r.priority, print_rule(r)) for r in rules])
+        with self._rules_lock:
+            try:
+                self.catalog.add_rule_records(
+                    [(r.name, r.pep, r.priority, print_rule(r))
+                     for r in rules])
+            except BaseException as e:
+                if not isinstance(e, ZoneError):  # a write failed midway
+                    self._load_table()  # so the rules before it stand
+                raise
+            self._table = _table_with(rules, self._table)
         for rule in rules:
             self.catalog.audit_append(caller, "rule.add", rule.name)
         return [r.name for r in rules]
 
     def remove_rule(self, caller: str, name: str) -> None:
         self.catalog.require_admin(caller)
-        self.catalog.remove_rule_record(name)
+        with self._rules_lock:
+            pep = self.catalog.remove_rule_record(name)
+            self._table = {**self._table, pep: tuple(
+                r for r in self._table[pep] if r.name != name)}
         self.catalog.audit_append(caller, "rule.remove", name)
 
     def list_rules(self) -> list[RuleEntryView]:
         return self.catalog.rules()
 
-    def _rules_for(self, pep: str) -> list[RuleAst]:
-        """The rules of pep in dispatch order: descending priority, then
-        ascending name. The first firing after a rule change rebuilds the
-        order from the catalog. The rebuild parses only stored texts it
-        has not seen, so a rule change costs one parse of the changed
-        rule, and it drops the trees of removed rules."""
-        version = self.catalog.rule_version
-        with self._compile_lock:
-            if version != self._compiled_version:
-                compiled: dict[str, list[RuleAst]] = {}
-                trees: dict[str, RuleAst] = {}
-                for entry in self.catalog.rules():
-                    ast = self._trees.get(entry.text)
-                    if ast is None:
-                        (ast,) = parse_rules(entry.text)
-                    trees[entry.text] = ast
-                    compiled.setdefault(entry.pep, []).append(ast)
-                for asts in compiled.values():
-                    asts.sort(key=lambda r: (-r.priority, r.name))
-                self._compiled = compiled
-                self._trees = trees
-                self._compiled_version = version
-            return list(self._compiled.get(pep, ()))
+    def _rules_for(self, pep: str) -> tuple[RuleAst, ...]:
+        """The rules of pep, in dispatch order."""
+        return self._table.get(pep, ())
 
     # -- enforcement points ---------------------------------------------------
 
@@ -427,9 +424,8 @@ class Engine:
             raise UnknownPep(pep)
         verdict = ALLOW
         for rule in self._rules_for(pep):
-            scope = _Scope(bindings)
             try:
-                hit = eval_expr(rule.condition, scope)
+                hit = eval_expr(rule.condition, bindings)
             except (EvalError, ZoneError) as e:
                 verdict = Verdict("error", f"condition: {e}", rule.name)
                 break
@@ -439,8 +435,15 @@ class Engine:
                 break
             if not hit:
                 continue
-            verdict = self._run_chain(rule.actions, scope, actor,
-                                      rule_name=rule.name)
+            try:
+                self._exec_items(rule.actions, {**bindings}, actor, None)
+            except _VerdictSignal as sig:
+                verdict = Verdict(sig.verdict.kind, sig.verdict.detail,
+                                  rule.name)
+            except (EvalError, ZoneError) as e:
+                verdict = Verdict("error", str(e), rule.name)
+            else:
+                verdict = Verdict("allow", "", rule.name)
             break
         detail = f"{pep} rule={verdict.rule or '-'}"
         if verdict.detail:
@@ -456,20 +459,10 @@ class Engine:
         post."""
         return _Trap(self, op, actor, extra)
 
-    def _run_chain(self, items: Iterable, scope: _Scope, actor: str,
-                   rule_name: str | None = None,
-                   base_coll: str | None = None) -> Verdict:
-        try:
-            self._exec_items(items, scope, actor, base_coll)
-        except _VerdictSignal as sig:
-            v = sig.verdict
-            return Verdict(v.kind, v.detail, rule_name)
-        except (EvalError, ZoneError) as e:
-            return Verdict("error", str(e), rule_name)
-        return Verdict("allow", "", rule_name)
-
-    def _exec_items(self, items: Iterable, scope: _Scope, actor: str,
-                    base_coll: str | None) -> None:
+    def _exec_items(self, items: Iterable, scope: dict[str, Value],
+                    actor: str, base_coll: str | None) -> None:
+        """Run a chain. scope holds its variables: a copy of the bindings
+        it runs with, which its assignments extend or shadow."""
         for item in items:
             if isinstance(item, Call):
                 self._exec_call(item, scope, actor, base_coll)
@@ -481,7 +474,7 @@ class Engine:
                         result = ""
                 else:
                     result = eval_expr(item.value, scope)
-                scope.bind(item.target, result)
+                scope[item.target] = result
             elif isinstance(item, If):
                 cond = eval_expr(item.cond, scope)
                 if not isinstance(cond, bool):
@@ -495,7 +488,7 @@ class Engine:
                 if not isinstance(seq, list):
                     raise TypeMismatch("foreach needs a list of strings")
                 for element in seq:
-                    scope.bind(item.var, element)
+                    scope[item.var] = element
                     self._exec_items(item.body, scope, actor, base_coll)
             elif isinstance(item, Allow):
                 raise _VerdictSignal(ALLOW)
@@ -504,7 +497,7 @@ class Engine:
             else:
                 raise EngineError(f"unknown chain item {item!r}")
 
-    def _exec_call(self, call: Call, scope: _Scope, actor: str,
+    def _exec_call(self, call: Call, scope: dict[str, Value], actor: str,
                    base_coll: str | None) -> Value | None:
         ms = self.microservices.get(call.name)
         args = [eval_expr(a, scope) for a in call.args]
@@ -515,8 +508,8 @@ class Engine:
         ctx = MsContext(engine=self, actor=actor, base_coll=base_coll)
         return ms.fn(ctx, *args)
 
-    def run_procedure_body(self, items: Iterable, scope: _Scope, actor: str,
-                           base_coll: str) -> None:
+    def run_procedure_body(self, items: Iterable, scope: dict[str, Value],
+                           actor: str, base_coll: str) -> None:
         """Execute a procedure body; allow()/deny() end it early, deny
         raising Denied. Used by the provenance layer."""
         try:

@@ -17,7 +17,7 @@ import secrets
 import threading
 from dataclasses import dataclass
 
-from ..catalog import Catalog
+from ..catalog import _NAME_RE, Catalog
 from ..common import now_us
 from ..errors import BadCredentials
 
@@ -46,7 +46,14 @@ class SessionStore:
 
     def login(self, user: str, secret: str) -> Session:
         if not self.catalog.verify_secret(user, secret):
-            self.catalog.audit_append(user, "login", "failed")
+            # No user has a name the catalog's naming rule refuses, so such
+            # a name is left out of the audit entry: a failed login cannot
+            # grow the journal by the size of the name it was sent.
+            if _NAME_RE.match(user):
+                self.catalog.audit_append(user, "login", "failed")
+            else:
+                self.catalog.audit_append(
+                    "-", "login", "failed: malformed user name")
             raise BadCredentials("unknown user or wrong secret")
         session = Session(token=secrets.token_hex(32), user=user,
                           expires_at=now_us() + self.ttl_us)

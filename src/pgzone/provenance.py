@@ -26,7 +26,6 @@ from .engine import (
     Engine,
     READING_MICROSERVICES,
     RunRecorder,
-    _Scope,
     recording,
 )
 from .errors import (
@@ -171,9 +170,7 @@ class Provenance:
                 run_id = uuid.uuid4().hex
                 t_start = now_us()
                 status, detail = "ok", ""
-                scope = _Scope(pep_bindings)
-                for key, value in bindings.items():
-                    scope.bind(key, value)
+                scope = {**pep_bindings, **bindings}
                 try:
                     with recording(recorder):
                         self.engine.run_procedure_body(

@@ -8,12 +8,14 @@ import time
 
 import pytest
 
+from pgzone.catalog import Catalog
 from pgzone.common import SYSTEM, sha256_hex
 from pgzone.drivers import ArchiveDriver, LocalFsDriver, MemDriver
 import pgzone.engine
 from pgzone.engine import PEP_NAMES, PEP_OPS
 from pgzone.errors import (
     ChecksumMismatch,
+    CorruptJournal,
     Denied,
     DuplicateRuleName,
     EngineError,
@@ -26,7 +28,7 @@ from pgzone.errors import (
     UnknownPep,
 )
 from pgzone.provenance import workflow_id_of
-from pgzone.ruledsl import parse_rules
+from pgzone.ruledsl import eval_expr, parse_rules
 from pgzone.streams import pack_records
 from pgzone.testing import FaultDriver
 
@@ -223,7 +225,11 @@ def test_rule_management_is_admin_only(zone):
 
 
 def test_rule_recompiles_match_a_full_parse_and_parse_only_new_texts(
-        zone, monkeypatch):
+        tmp_path, monkeypatch):
+    """A seeded dispatch oracle: after every add, remove, refused
+    duplicate, half-failed multi-rule add and reopen, each point's rules
+    equal a full parse and sort of the stored texts, and every firing
+    decides as the first of them that matches, without parsing."""
     rng = random.Random(1717)
     peps = ("pep.data.put.pre", "pep.data.put.post", "pep.data.get.pre",
             "pep.meta.add.pre")
@@ -234,33 +240,74 @@ def test_rule_recompiles_match_a_full_parse_and_parse_only_new_texts(
         return parse_rules(text)
 
     monkeypatch.setattr(pgzone.engine, "parse_rules", counting)
-    engine, catalog = zone.engine, zone.catalog
+    zone = make_zone(tmp_path / "j")
     names = [f"r{i:02d}" for i in range(25)]
-    stored_before: set[str] = set()
-    for step in range(100):
+
+    def rule_texts(chosen):
+        return "\n".join(
+            f'rule {n} priority {rng.randint(-2, 2)} '
+            f'on {rng.choice(peps)} when $obj.path matches '
+            f'"/p{rng.randrange(3)}/*" do deny("{n}")' for n in chosen)
+
+    def second_append_fails(journal):
+        real, calls = journal.append, []
+
+        def append(record):
+            calls.append(record)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real(record)
+        return append
+
+    for step in range(120):
+        engine, catalog = zone.engine, zone.catalog
         stored = {r.name for r in catalog.rules()}
-        if stored and (len(stored) >= 20 or rng.random() < 0.4):
+        free = [n for n in names if n not in stored]
+        roll = rng.random()
+        if step % 30 == 29:
+            zone.close()
+            zone = make_zone(tmp_path / "j")
+        elif stored and roll < 0.1:
+            with pytest.raises(DuplicateRuleName):
+                engine.add_rules(ADMIN, rule_texts(
+                    [rng.choice(free), rng.choice(sorted(stored))]))
+        elif len(free) >= 3 and roll < 0.2:
+            chosen = rng.sample(free, 3)
+            catalog._journal.append = second_append_fails(catalog._journal)
+            with pytest.raises(OSError):
+                engine.add_rules(ADMIN, rule_texts(chosen))
+            del catalog._journal.append
+            assert {r.name for r in catalog.rules()} - stored == {chosen[0]}
+        elif stored and (len(stored) >= 20 or roll < 0.5):
             engine.remove_rule(ADMIN, rng.choice(sorted(stored)))
         else:
-            free = [n for n in names if n not in stored]
-            text = "\n".join(
-                f'rule {n} priority {rng.randint(-2, 2)} '
-                f'on {rng.choice(peps)} when $obj.path matches '
-                f'"/p{rng.randrange(3)}/*" do deny("{n}")'
-                for n in rng.sample(free, min(rng.randint(1, 2),
-                                              20 - len(stored))))
-            engine.add_rules(ADMIN, text)
-        entries = catalog.rules()
+            engine.add_rules(ADMIN, rule_texts(
+                rng.sample(free, min(rng.randint(1, 2), 20 - len(stored)))))
+        entries = zone.catalog.rules()
         parsed.clear()
         for pep in PEP_NAMES:
             brute = sorted(
                 (parse_rules(e.text)[0] for e in entries if e.pep == pep),
                 key=lambda r: (-r.priority, r.name))
-            assert engine._rules_for(pep) == brute, (step, pep)
-        texts = {e.text for e in entries}
-        assert sorted(parsed) == sorted(texts - stored_before), step
-        assert set(engine._trees) == texts, step
-        stored_before = texts
+            assert list(zone.engine._rules_for(pep)) == brute, (step, pep)
+            for path in ("/p0/f", "/p1/f", "/p2/f"):
+                bindings = {"user.name": ADMIN, "user.role": "admin",
+                            "op": "data.put", "obj.path": path}
+                verdict = zone.engine.fire_pep(pep, ADMIN, bindings)
+                first = next((r.name for r in brute
+                              if eval_expr(r.condition, bindings)), None)
+                assert verdict.rule == first, (step, pep, path)
+        assert parsed == [], step
+    zone.close()
+
+
+def test_stored_rule_that_does_not_parse_fails_the_open(tmp_path):
+    make_zone(tmp_path / "j").close()
+    catalog = Catalog(tmp_path / "j")
+    catalog.add_rule_records([("broken", "pep.data.get.pre", 0, "rule ...")])
+    catalog.close()
+    with pytest.raises(CorruptJournal, match="'broken'"):
+        make_zone(tmp_path / "j")
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,28 @@ def test_login_rejects_bad_secret(gw):
     assert exc.value.status == 401
 
 
+def test_failed_login_leaves_a_malformed_name_out_of_the_journal(tmp_path):
+    zone = make_zone(journal_dir=tmp_path / "j")
+    server = GatewayServer(zone, host="127.0.0.1", port=free_port()).start()
+    log = tmp_path / "j" / "journal.log"
+    try:
+        before = log.stat().st_size
+        for user in ("x" * (4 << 20), "nobody"):
+            with pytest.raises(ClientError) as exc:
+                ZoneClient(server.url).login(user, "pw")
+            assert (exc.value.status, exc.value.error) == (
+                401, "BadCredentials")
+            if user != "nobody":
+                assert log.stat().st_size - before < 1024
+        failed = [(e.actor, e.detail)
+                  for e in zone.catalog.audit_query(ADMIN, event="login")]
+        assert failed == [("-", "failed: malformed user name"),
+                          ("nobody", "failed")]
+    finally:
+        server.shutdown()
+        zone.close()
+
+
 def test_requests_without_token_are_rejected(gw):
     with pytest.raises(ClientError) as exc:
         ZoneClient(gw.url).get("/home")
