@@ -12,22 +12,19 @@ by call over its one keep-alive connection:
   get_4k     a get of each of those objects;
   get_1m     a get of one 1 MiB object, --calls // 10 times (at least 5).
 Every get checks the bytes it got back. A process reports the median
-per call of each; the result is the median over processes, with the
-sources run in a different order on each repeat.
+per call of each, scaled to the reference speed (bench/common.py). The
+sources' processes of a repeat run back to back; the result holds each
+row's median and runs, and its ratios paired by repeat.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
+from common import arg_parser, compare, machine, sources, write
 
-from common import arg_parser, machine, rotated, run, sources, write
-
-REPEATS = 5
-CALLS = ("ping", "put_4k", "get_4k", "get_1m")
+REPEATS = 10
 
 MEASURE = """
-import json, sys, time
+import sys
 from pgzone.common import SYSTEM
 from pgzone.gateway.client import ZoneClient
 from pgzone.gateway.server import GatewayServer
@@ -40,33 +37,26 @@ zone.ensure_resource(SYSTEM, "main", "mem", "/blobs/main", "cache")
 server = GatewayServer(zone, host="127.0.0.1", port=0).start()
 client = ZoneClient(server.url)
 client.login("admin", "pw")
-clock = time.perf_counter_ns
 small = bytes(range(256)) * 16
 large = bytes(range(256)) * 4096
-
-def median_us(call, n):
-    took = []
-    for i in range(n):
-        start = clock()
-        call(i)
-        took.append(clock() - start)
-    return sorted(took)[len(took) // 2] / 1000
 
 def get(path, data):
     if client.get(path) != data:
         sys.exit(f"get {path} read back other bytes")
 
-result = {
-    "ping": median_us(lambda i: client.ping(), calls),
-    "put_4k": median_us(lambda i: client.put(f"/home/p{i}", small), calls),
-    "get_4k": median_us(lambda i: get(f"/home/p{i}", small), calls),
+us = {
+    "ping": median_us([client.ping] * calls),
+    "put_4k": median_us([lambda i=i: client.put(f"/home/p{i}", small)
+                         for i in range(calls)]),
+    "get_4k": median_us([lambda i=i: get(f"/home/p{i}", small)
+                         for i in range(calls)]),
 }
 client.put("/home/large", large)
-result["get_1m"] = median_us(lambda i: get("/home/large", large),
-                             max(5, calls // 10))
+us["get_1m"] = median_us([lambda: get("/home/large", large)]
+                         * max(5, calls // 10))
 server.shutdown()
 zone.close()
-print(json.dumps(result))
+report(us)
 """
 
 
@@ -75,29 +65,19 @@ def main() -> None:
     ap.add_argument("--calls", type=int, default=1000)
     args = ap.parse_args()
     srcs = sources(args)
-    runs = {name: {c: [] for c in CALLS} for name in srcs}
-    for rep in range(REPEATS):
-        for name, src in rotated(list(srcs.items()), rep):
-            got = json.loads(run(src, MEASURE, str(args.calls)))
-            for c in CALLS:
-                runs[name][c].append(got[c])
-    result = {
+    times, _ = compare(srcs, MEASURE, REPEATS,
+                       argv=lambda *_: [str(args.calls)])
+    write({
         "what": "microseconds per ZoneClient call over one keep-alive "
                 "connection to a gateway in the same process (in-memory "
-                "zone, mem driver); median per call in a fresh process, "
-                f"then the median of {REPEATS} processes; {args.calls} "
-                "pings, puts of 4 KiB and gets of 4 KiB, and "
+                "zone, mem driver), at the reference speed; median per "
+                f"call in a fresh process, over {REPEATS} paired repeats; "
+                f"{args.calls} pings, puts of 4 KiB and gets of 4 KiB, and "
                 f"{max(5, args.calls // 10)} gets of one 1 MiB object",
         **machine(srcs, args.note),
         "calls": args.calls,
-        "us_median": {name: {c: round(statistics.median(s), 1)
-                             for c, s in per.items()}
-                      for name, per in runs.items()},
-        "us_runs": {name: {c: [round(x, 1) for x in s]
-                           for c, s in per.items()}
-                    for name, per in runs.items()},
-    }
-    write(result, args.out)
+        **times,
+    }, args.out)
 
 
 if __name__ == "__main__":

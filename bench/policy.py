@@ -6,8 +6,8 @@ metadata query.
       --out BENCH_policy.json
 
 For each --src, REPEATS fresh processes each build a zone with an
-in-memory journal and the `mem` driver, and time three things, each
-call on its own:
+in-memory journal and the `mem` driver, and time these, each call on
+its own:
 
 - fire: `Engine.fire_pep` of `pep.data.get.pre` when 3, 100 or 1000
   rules sit on that point and none matches, so every condition is
@@ -24,47 +24,34 @@ call on its own:
   of the 3-step procedure above, and `AvuPredicate.parse` of a 2-clause
   query like the benchmark's; --calls parses of each.
 
-A process reports the median per call of each; the result is the
-median over processes, with the sources run in a different order on
-each repeat. Writes the medians, each run, and for each source after
-the first its per-repeat ratio to the first, as JSON.
+A process reports the median per call of each, scaled to the
+reference speed (bench/common.py). The sources' processes of a repeat
+run back to back; the result holds each row's median and runs, and for
+each source after the first its per-repeat ratio to the first.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
+from common import arg_parser, compare, machine, sources, write
 
-from common import arg_parser, machine, paired, rotated, run, sources, write
-
-REPEATS = 5
+REPEATS = 10
 
 MEASURE = """
-import json, sys, time
+import sys
 from pgzone.catalog import AvuPredicate
 from pgzone.ruledsl import parse_procedure, parse_rules
 from pgzone.zone import Zone
 
 calls, changes = int(sys.argv[1]), int(sys.argv[2])
-clock = time.perf_counter_ns
 ADMIN = "admin"
 GET = {"user.name": ADMIN, "user.role": "admin", "op": "data.get",
        "obj.path": "/home/o", "obj.owner": ADMIN}
-
-def median_us(took):
-    return sorted(took)[len(took) // 2] / 1000
+CHURN = ('rule churn on pep.data.get.pre when $obj.path matches "/home/*" '
+         'do allow()')
 
 def rules(pep, names):
     return "\\n".join(f'rule {n} on {pep} when $obj.path matches "/{n}/*" '
                       f'do deny("{n}")' for n in names)
-
-def parse_us(parse, text):
-    took = []
-    for _ in range(calls):
-        start = clock()
-        parse(text)
-        took.append(clock() - start)
-    return median_us(took)
 
 BASE_RULES = '''
 rule tag_raw on pep.data.put.post when $obj.path matches "*/raw/*"
@@ -82,14 +69,25 @@ procedure stamp($src, $dst, $n) {
 }'''
 
 def fire(engine, expect):
-    start = clock()
     verdict = engine.fire_pep("pep.data.get.pre", ADMIN, GET)
-    took = clock() - start
     if (verdict.kind, verdict.rule) != ("allow", expect):
         sys.exit(f"firing decided {verdict} where {expect} should")
-    return took
 
-result = {}
+def churn(engine):
+    # Each firing right after adding, then right after removing, the rule.
+    for _ in range(changes):
+        engine.add_rules(ADMIN, CHURN)
+        yield lambda: fire(engine, "churn")
+        engine.remove_rule(ADMIN, "churn")
+        yield lambda: fire(engine, None)
+
+def run_ok(n):
+    record = zone.provenance.run(ADMIN, wf["id"], {
+        "src": "/home/wf/in.dat", "dst": f"/home/wf/out-{n}.txt", "n": n})
+    if record["status"] != "ok":
+        sys.exit(f"run failed: {record['detail']}")
+
+us = {}
 with Zone(admin_secret="pw", default_resource="main") as zone:
     zone.ensure_resource(ADMIN, "main", "mem", "/blobs/main", "cache")
     engine = zone.engine
@@ -98,8 +96,8 @@ with Zone(admin_secret="pw", default_resource="main") as zone:
         engine.add_rules(ADMIN, rules("pep.data.get.pre",
                                       [f"f{i}" for i in range(have, size)]))
         have = size
-        result[f"fire.{size}"] = median_us(
-            [fire(engine, None) for _ in range(calls)])
+        us[f"fire.{size}"] = median_us(
+            [lambda: fire(engine, None)] * calls)
     for i in range(have):
         engine.remove_rule(ADMIN, f"f{i}")
     have = 0
@@ -108,33 +106,22 @@ with Zone(admin_secret="pw", default_resource="main") as zone:
                                       [f"s{i}" for i in range(have, size)]))
         have = size
         fire(engine, None)
-        added, removed = [], []
-        for _ in range(changes):
-            engine.add_rules(ADMIN, 'rule churn on pep.data.get.pre '
-                             'when $obj.path matches "/home/*" do allow()')
-            added.append(fire(engine, "churn"))
-            engine.remove_rule(ADMIN, "churn")
-            removed.append(fire(engine, None))
-        result[f"after_add.{size}"] = median_us(added)
-        result[f"after_remove.{size}"] = median_us(removed)
+        took = timed_us(churn(engine))
+        us[f"after_add.{size}"] = median(took[0::2])
+        us[f"after_remove.{size}"] = median(took[1::2])
     zone.catalog.make_collection(ADMIN, "/home/wf", kind="workflow")
     wf = zone.provenance.attach(ADMIN, "/home/wf", STAMP)
     engine.put(ADMIN, "/home/wf/in.dat", b"x" * 100)
-    took = []
-    for n in range(calls + 1):
-        start = clock()
-        record = zone.provenance.run(ADMIN, wf["id"], {
-            "src": "/home/wf/in.dat", "dst": f"/home/wf/out-{n}.txt",
-            "n": n})
-        took.append(clock() - start)
-        if record["status"] != "ok":
-            sys.exit(f"run failed: {record['detail']}")
-    result["run"] = median_us(took[1:])
-result["parse_rules"] = parse_us(parse_rules, BASE_RULES)
-result["parse_procedure"] = parse_us(parse_procedure, STAMP)
-result["parse_query"] = parse_us(
-    AvuPredicate.parse, 'name = "exp.site" and value like "ab*"')
-print(json.dumps(result))
+    run_ok(0)
+    us["run"] = median_us([lambda n=n: run_ok(n)
+                           for n in range(1, calls + 1)])
+for row, parse, text in (
+        ("parse_rules", parse_rules, BASE_RULES),
+        ("parse_procedure", parse_procedure, STAMP),
+        ("parse_query", AvuPredicate.parse,
+         'name = "exp.site" and value like "ab*"')):
+    us[row] = median_us([lambda: parse(text)] * calls)
+report(us)
 """
 
 
@@ -144,16 +131,11 @@ def main() -> None:
     ap.add_argument("--changes", type=int, default=30)
     args = ap.parse_args()
     srcs = sources(args)
-    runs: dict[str, dict[str, list[float]]] = {name: {} for name in srcs}
-    for rep in range(REPEATS):  # interleaved, each source first in turn
-        for name, src in rotated(list(srcs.items()), rep):
-            got = json.loads(
-                run(src, MEASURE, str(args.calls), str(args.changes)))
-            for key, us in got.items():
-                runs[name].setdefault(key, []).append(us)
-    result = {
-        "what": "microseconds per call, median per call in a fresh "
-                f"process, then the median of {REPEATS} processes. "
+    times, _ = compare(srcs, MEASURE, REPEATS,
+                       argv=lambda *_: [str(args.calls), str(args.changes)])
+    write({
+        "what": "microseconds per call at the reference speed, median per "
+                f"call in a fresh process, over {REPEATS} paired repeats. "
                 "fire.N: fire_pep with N rules on the point, none "
                 "matching. after_add.N / after_remove.N: the first "
                 "fire_pep after adding / removing one rule, with N "
@@ -167,15 +149,8 @@ def main() -> None:
         **machine(srcs, args.note),
         "calls": args.calls,
         "changes": args.changes,
-        "us_median": {name: {k: round(statistics.median(v), 2)
-                             for k, v in per.items()}
-                      for name, per in runs.items()},
-        "us_runs": {name: {k: [round(x, 2) for x in v]
-                           for k, v in per.items()}
-                    for name, per in runs.items()},
-        "ratio_to_first": paired(runs),
-    }
-    write(result, args.out)
+        **times,
+    }, args.out)
 
 
 if __name__ == "__main__":

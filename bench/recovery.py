@@ -1,27 +1,34 @@
-"""Reopen time of a journaled zone, with and without its snapshot files.
+"""Reopen time of a journaled zone: as built, without its snapshot
+files, and with the longest tail a reopen replays.
 
   python3 bench/recovery.py --src change=src --src parent=../old/src \
       --objects 25000 50000 --out BENCH_recovery.json
 
-For each size, builds a zone of that many 100-byte objects in the `mem`
-driver with the first --src, then times the reopen (`Zone(journal_dir)`)
-in a fresh process, REPEATS times for each --src and each variant: as
-built, and with the snapshot files deleted. The on-disk format must be
-the same for every --src. Every reopen must give the same
-data_state_digest(). Writes the medians, and each run, as JSON.
+For each size N, builds with the first --src a zone of N 100-byte
+objects in the `mem` driver, and two copies of it: one without its
+snapshot files, and one (worst_tail) with single-record commits of new
+objects added until its journal holds SNAPSHOT_EVERY - 1 records past
+its newest snapshot. Then times the reopen (`Zone(journal_dir)`) in a
+fresh process, REPEATS times for each --src and each variant, scaled
+to the reference speed by a speed loop before and after it
+(bench/common.py). The on-disk format must be the same for every --src.
+Every reopen of a variant must give the same data_state_digest() and
+record count, and the with_snapshots and without_snapshots reopens the
+same as each other. Rows are named reopen.VARIANT.N, in microseconds;
+the sources' processes of a repeat run back to back, and the result
+holds each row's median and runs, and its ratios paired by repeat.
 """
 
 from __future__ import annotations
 
-import json
 import shutil
-import statistics
 import tempfile
 from pathlib import Path
 
-from common import arg_parser, machine, rotated, run, sources, write
+from common import arg_parser, compare, machine, run, sources, write
 
-REPEATS = 3
+REPEATS = 5
+VARIANTS = ("with_snapshots", "without_snapshots", "worst_tail")
 
 BUILD = """
 import sys
@@ -34,51 +41,41 @@ for i in range(int(sys.argv[2])):
 zone.close()
 """
 
-REOPEN = """
-import json, sys, time
+TAIL = """
+import hashlib, sys
+from pgzone.journal import SNAPSHOT_EVERY
 from pgzone.zone import Zone
-start = time.perf_counter()
 zone = Zone(sys.argv[1])
-elapsed = time.perf_counter() - start
-print(json.dumps({"s": elapsed, "digest": zone.catalog.data_state_digest(),
-                  "seq": len(zone.catalog.records())}))
+checksum = hashlib.sha256(b"x" * 100).hexdigest()
+past = len(zone.catalog.records()) % SNAPSHOT_EVERY
+for i in range(SNAPSHOT_EVERY - 1 - past):
+    zone.catalog.put_object(f"/home/t{i}", "admin", "main",
+                            f"/blobs/main/t{i}", checksum, 100)
 zone.close()
 """
 
+MEASURE = """
+import sys
+from pgzone.zone import Zone
+zones = []
+us = median_us([lambda: zones.append(Zone(sys.argv[1]))])
+report({"reopen": us}, {"digest": zones[0].catalog.data_state_digest(),
+                        "records": len(zones[0].catalog.records())})
+zones[0].close()
+"""
 
-def measure(srcs: dict[str, str], n: int, work: Path) -> dict:
+
+def build(src: str, n: int, work: Path) -> dict[str, Path]:
+    """The three zones of n objects, by variant."""
     built = work / f"zone-{n}"
-    run(next(iter(srcs.values())), BUILD, str(built), str(n))
+    run(src, BUILD, str(built), str(n))
     bare = work / f"zone-{n}-no-snapshots"
     shutil.copytree(built, bare,
                     ignore=shutil.ignore_patterns("snapshot-*"))
-    variants = {"with_snapshots": built, "without_snapshots": bare}
-    samples: dict[str, dict[str, list[float]]] = {
-        name: {v: [] for v in variants} for name in srcs}
-    digests, seqs = set(), set()
-    for rep in range(REPEATS):  # interleaved, each source first in turn
-        for name, src in rotated(list(srcs.items()), rep):
-            for variant, path in variants.items():
-                got = json.loads(run(src, REOPEN, str(path)))
-                samples[name][variant].append(got["s"])
-                digests.add(got["digest"])
-                seqs.add(got["seq"])
-    if len(digests) != 1 or len(seqs) != 1:
-        raise SystemExit(f"reopens of {n} objects disagree: {digests}")
-    return {
-        "objects": n,
-        "records": seqs.pop(),
-        "journal_bytes": (built / "journal.log").stat().st_size,
-        "snapshots": sorted(p.name for p in built.glob("snapshot-*")),
-        "digest": digests.pop(),
-        "reopen_s_median": {
-            name: {v: round(statistics.median(s), 4)
-                   for v, s in per.items()}
-            for name, per in samples.items()},
-        "reopen_s_runs": {
-            name: {v: [round(x, 4) for x in s] for v, s in per.items()}
-            for name, per in samples.items()},
-    }
+    tail = work / f"zone-{n}-worst-tail"
+    shutil.copytree(built, tail)
+    run(src, TAIL, str(tail))
+    return dict(zip(VARIANTS, (built, bare, tail)))
 
 
 def main() -> None:
@@ -87,15 +84,33 @@ def main() -> None:
     args = ap.parse_args()
     srcs = sources(args)
     with tempfile.TemporaryDirectory(prefix="pgzone-recovery-") as tmp:
-        sizes = [measure(srcs, n, Path(tmp)) for n in args.objects]
-    result = {
-        "what": "seconds to reopen a journaled zone (Zone(journal_dir)), "
-                f"median of {REPEATS} fresh processes; mem driver, "
-                "100-byte blobs, one put per object",
+        zones = {f"{variant}.{n}": path for n in args.objects
+                 for variant, path in build(next(iter(srcs.values())), n,
+                                            Path(tmp)).items()}
+        times, checks = compare(srcs, MEASURE, REPEATS, zones,
+                                lambda cell, _: [str(zones[cell])])
+        for n in args.objects:
+            pair = [checks[f"{v}.{n}"] for v in VARIANTS[:2]]
+            if pair[0] != pair[1]:
+                raise SystemExit(f"reopens of {n} objects disagree with "
+                                 f"and without snapshots: {pair}")
+        built = {cell: {**checks[cell],
+                        "journal_bytes": (path / "journal.log").stat().st_size,
+                        "snapshots": sorted(p.name for p in
+                                            path.glob("snapshot-*"))}
+                 for cell, path in zones.items()}
+    write({
+        "what": "microseconds to reopen a journaled zone "
+                "(Zone(journal_dir)) at the reference speed, one reopen "
+                f"per fresh process, over {REPEATS} paired repeats; mem "
+                "driver, 100-byte blobs, one put per object; worst_tail "
+                "adds single-record commits up to one record before the "
+                "next snapshot",
         **machine(srcs, args.note),
-        "sizes": sizes,
-    }
-    write(result, args.out)
+        "objects": args.objects,
+        "zones": built,
+        **times,
+    }, args.out)
 
 
 if __name__ == "__main__":

@@ -10,36 +10,26 @@ perfbench's model lays them out: timestamps rise inside a segment and
 from one segment to the next. One read then builds the stream index.
 The process times --reads reads, each of an interval about three
 segments wide at a seeded random start, then N // 10 (at least 20) more
-ingests, and reports the median per call of each. The result is the
-median over processes. Every process of a size must read the same
-records. Writes the medians, and each run, as JSON.
-
-The speed of a shared machine drifts by up to 1.7x for seconds at a
-time (perfbench/WORKLOADS.md, "Noise on a shared machine"), more than
-the differences this measures. So each batch of BATCH calls is timed
-between two runs of a fixed arithmetic loop, and its times are scaled
-by REFERENCE_NS over their mean: microseconds at the reference speed.
+ingests, and reports the median per call of each, scaled to the
+reference speed (bench/common.py). Every process of a size must read
+the same records. Rows are named read_us.N and ingest_us.N; the result
+holds each row's median and runs, and its ratios paired by repeat.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
+from common import arg_parser, compare, machine, sources, write
 
-from common import arg_parser, machine, rotated, run, sources, write
-
-REPEATS = 8
+REPEATS = 10
 RECORDS = 100
 
 MEASURE = """
-import hashlib, json, random, sys, time
+import hashlib, random, sys
 from pgzone.common import SYSTEM
 from pgzone.streams import pack_records
 from pgzone.zone import Zone
 
 segments, reads, records = (int(a) for a in sys.argv[1:4])
-REFERENCE_NS = 700_000  # speed_ns() of an Intel Xeon at its fast level
-BATCH = 25
 rng = random.Random(segments)
 zone = Zone(None, admin_secret="pw", default_resource="main")
 zone.ensure_resource(SYSTEM, "main", "mem", "/blobs/main", "cache")
@@ -56,28 +46,6 @@ def segment():
     clock = t
     return pack_records(out)
 
-def speed_ns():
-    best = 1 << 62
-    for _ in range(3):
-        start = time.perf_counter_ns()
-        s = 0
-        for i in range(10_000):
-            s += i * i % 7
-        best = min(best, time.perf_counter_ns() - start)
-    return best
-
-def median_us(calls):
-    took = []
-    for i in range(0, len(calls), BATCH):
-        before, batch = speed_ns(), []
-        for call in calls[i:i + BATCH]:
-            start = time.perf_counter_ns()
-            call()
-            batch.append(time.perf_counter_ns() - start)
-        scale = 2 * REFERENCE_NS / (before + speed_ns())
-        took += [ns * scale for ns in batch]
-    return sorted(took)[len(took) // 2] / 1000
-
 for _ in range(segments):
     zone.streams.ingest("admin", coll, segment())
 first, last = 1_000_000, clock
@@ -89,18 +57,17 @@ for _ in range(reads):
     lo = rng.randint(first, max(first, last - 3 * width))
     calls.append(lambda lo=lo: got.append(
         zone.streams.read("admin", coll, lo, lo + 3 * width)))
-result = {"read_us": median_us(calls)}
+us = {"read_us": median_us(calls)}
 digest = hashlib.sha256()
 for hits in got:
     for t, payload in hits:
         digest.update(b"%d:" % t + payload)
-result["records_per_read"] = sum(map(len, got)) / len(got)
-result["digest"] = digest.hexdigest()
 calls = [lambda data=segment(): zone.streams.ingest("admin", coll, data)
          for _ in range(max(20, segments // 10))]
-result["ingest_us"] = median_us(calls)
+us["ingest_us"] = median_us(calls)
 zone.close()
-print(json.dumps(result))
+report(us, {"records_per_read": sum(map(len, got)) / len(got),
+            "digest": digest.hexdigest()})
 """
 
 
@@ -110,45 +77,22 @@ def main() -> None:
     ap.add_argument("--reads", type=int, default=500)
     args = ap.parse_args()
     srcs = sources(args)
-    kinds = ("ingest_us", "read_us")
-    runs = {name: {k: {n: [] for n in args.segments} for k in kinds}
-            for name in srcs}
-    reads: dict[int, set[tuple[float, str]]] = {
-        n: set() for n in args.segments}
-    for rep in range(REPEATS):
-        # Interleaved, each source and each size first in turn: the
-        # machine's drift in speed hits every cell alike.
-        for n in rotated(args.segments, rep):
-            for name, src in rotated(list(srcs.items()), rep):
-                got = json.loads(run(src, MEASURE, str(n), str(args.reads),
-                                     str(RECORDS)))
-                reads[n].add((got["records_per_read"], got["digest"]))
-                for kind in kinds:
-                    runs[name][kind][n].append(got[kind])
-    if any(len(r) != 1 for r in reads.values()):
-        raise SystemExit(f"the sources read different records: {reads}")
-    result = {
+    times, checks = compare(
+        srcs, MEASURE, REPEATS, [str(n) for n in args.segments],
+        lambda n, _: [n, str(args.reads), str(RECORDS)])
+    write({
         "what": "microseconds per stream operation at the reference speed, "
-                "median per call in a "
-                f"fresh process, then the median of {REPEATS} processes; "
-                f"segments of {RECORDS} records, journal in memory, mem "
-                f"driver; {args.reads} reads of an interval about 3 "
-                "segments wide at each size, then size // 10 (at least "
-                "20) ingests",
+                f"median per call in a fresh process, over {REPEATS} "
+                f"paired repeats; segments of {RECORDS} records, journal "
+                f"in memory, mem driver; {args.reads} reads of an interval "
+                "about 3 segments wide at each size, then size // 10 (at "
+                "least 20) ingests",
         **machine(srcs, args.note),
         "segments": args.segments,
-        "records_per_read": {n: next(iter(r))[0] for n, r in reads.items()},
-        "us_median": {
-            name: {k: {n: round(statistics.median(s), 2)
-                       for n, s in per.items()}
-                   for k, per in kinds_.items()}
-            for name, kinds_ in runs.items()},
-        "us_runs": {
-            name: {k: {n: [round(x, 2) for x in s] for n, s in per.items()}
-                   for k, per in kinds_.items()}
-            for name, kinds_ in runs.items()},
-    }
-    write(result, args.out)
+        "records_per_read": {n: c["records_per_read"]
+                             for n, c in checks.items()},
+        **times,
+    }, args.out)
 
 
 if __name__ == "__main__":

@@ -92,7 +92,7 @@ REPLICA_STATUSES = ("good", "stale", "suspect")
 PERM_ORDER = {"read": 1, "write": 2, "own": 3}
 
 MAX_PATH_BYTES = 4096
-_NAME_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]{0,127}$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]{0,127}")
 _CHECKSUM_RE = re.compile(r"^[0-9a-f]{64}$")
 
 _PBKDF2_ITERATIONS = 100_000
@@ -508,7 +508,7 @@ class Catalog:
                     secret: str) -> str:
         if role not in ROLES:
             raise ValueError(f"unknown role {role!r}")
-        if not _NAME_RE.match(name or ""):
+        if not _NAME_RE.fullmatch(name or ""):
             raise ValueError(f"bad user name {name!r}")
         with self._lock:
             self._require_admin(caller)
@@ -522,7 +522,7 @@ class Catalog:
         return name
 
     def add_user_to_group(self, caller: str, user: str, group: str) -> None:
-        if not _NAME_RE.match(group or ""):
+        if not _NAME_RE.fullmatch(group or ""):
             raise ValueError(f"bad group name {group!r}")
         with self._lock:
             self._require_admin(caller)
@@ -563,7 +563,7 @@ class Catalog:
                           root: str, kind: str) -> str:
         if kind not in RESOURCE_KINDS:
             raise ValueError(f"unknown resource kind {kind!r}")
-        if not _NAME_RE.match(name or ""):
+        if not _NAME_RE.fullmatch(name or ""):
             raise ValueError(f"bad resource name {name!r}")
         with self._lock:
             self._require_admin(caller)

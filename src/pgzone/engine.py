@@ -718,19 +718,22 @@ class Engine:
 
     def stage(self, actor: str, path: str, to_resource: str) -> ObjectView:
         """Copy toward fast storage: destination must be a cache resource."""
-        res = self.catalog.get_resource(to_resource)
-        if res.kind != "cache":
-            raise KindMismatch(
-                f"stage needs a cache resource, {to_resource!r} is "
-                f"{res.kind!r}")
-        return self.replicate(actor, path, to_resource)
+        return self._replicate_to_kind(actor, path, to_resource, "stage",
+                                       "a cache")
 
     def archive(self, actor: str, path: str, to_resource: str) -> ObjectView:
         """Copy toward preservation storage: destination must be archival."""
+        return self._replicate_to_kind(actor, path, to_resource, "archive",
+                                       "an archive")
+
+    def _replicate_to_kind(self, actor: str, path: str, to_resource: str,
+                           op: str, needs: str) -> ObjectView:
+        """replicate(), once to_resource is of the kind `needs` names
+        ("a cache", "an archive")."""
         res = self.catalog.get_resource(to_resource)
-        if res.kind != "archive":
+        if res.kind != needs.split()[-1]:
             raise KindMismatch(
-                f"archive needs an archive resource, {to_resource!r} is "
+                f"{op} needs {needs} resource, {to_resource!r} is "
                 f"{res.kind!r}")
         return self.replicate(actor, path, to_resource)
 

@@ -49,7 +49,7 @@ class SessionStore:
             # No user has a name the catalog's naming rule refuses, so such
             # a name is left out of the audit entry: a failed login cannot
             # grow the journal by the size of the name it was sent.
-            if _NAME_RE.match(user):
+            if _NAME_RE.fullmatch(user):
                 self.catalog.audit_append(user, "login", "failed")
             else:
                 self.catalog.audit_append(

@@ -1,8 +1,10 @@
 import posixpath
 import random
+import re
 
 import pytest
 
+import pgzone.catalog
 from pgzone.catalog import AuditEntry, AvuPredicate, Catalog, validate_path
 from pgzone.common import SYSTEM, glob_match, sha256_hex
 from pgzone.errors import (
@@ -83,6 +85,40 @@ def test_user_names_validated():
     for bad in ("", "has space", "at@sign", "x" * 200):
         with pytest.raises(ValueError):
             c.create_user("admin", bad, "user", "s")
+
+
+def test_names_ending_in_a_newline_are_refused():
+    # `$` alone would match before a final "\n"; a name must match whole.
+    c = fresh_catalog()
+    c.create_user("admin", "ada", "user", "pw")
+    with pytest.raises(ValueError, match="bad user name"):
+        c.create_user("admin", "alice\n", "user", "pw")
+    with pytest.raises(ValueError, match="bad group name"):
+        c.add_user_to_group("admin", "ada", "g\n")
+    with pytest.raises(ValueError, match="bad resource name"):
+        c.register_resource("admin", "r\n", "mem", "/blobs/r", "cache")
+    assert not c.user_exists("alice\n")
+    assert not c.verify_secret("alice\n", "pw")
+    assert c.get_user("ada").groups == ()
+
+
+def test_a_journaled_name_ending_in_a_newline_still_replays(tmp_path,
+                                                           monkeypatch):
+    # Journals written before names had to match whole may hold such a
+    # user; replay does not validate names, so the zone still opens.
+    monkeypatch.setattr(pgzone.catalog, "_NAME_RE",
+                        re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]{0,127}\n?"))
+    c = Catalog(tmp_path)
+    c.create_user(SYSTEM, "admin", "admin", "pw")
+    c.create_user("admin", "alice\n", "user", "pw")
+    c.close()
+    monkeypatch.undo()
+    c = Catalog(tmp_path)
+    try:
+        assert c.user_exists("alice\n")
+        assert c.verify_secret("alice\n", "pw")
+    finally:
+        c.close()
 
 
 def test_secret_verification():

@@ -413,6 +413,18 @@ def test_gateway_imports_no_third_party_http_library():
                    timeout=CLI_TIMEOUT)
 
 
+def test_login_with_a_name_ending_in_a_newline_is_audited_as_malformed():
+    zone = make_zone()
+    try:
+        with pytest.raises(errors.BadCredentials):
+            SessionStore(zone.catalog).login("admin\n", ADMIN_SECRET)
+        failed = [(e.actor, e.detail)
+                  for e in zone.catalog.audit_query(ADMIN, event="login")]
+        assert failed == [("-", "failed: malformed user name")]
+    finally:
+        zone.close()
+
+
 class _OpenCatalog:
     """Accepts every secret and keeps no audit trail."""
 
