@@ -93,7 +93,7 @@ PERM_ORDER = {"read": 1, "write": 2, "own": 3}
 
 MAX_PATH_BYTES = 4096
 _NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]{0,127}")
-_CHECKSUM_RE = re.compile(r"^[0-9a-f]{64}$")
+_CHECKSUM_RE = re.compile(r"[0-9a-f]{64}")
 
 _PBKDF2_ITERATIONS = 100_000
 
@@ -772,7 +772,7 @@ class Catalog:
                    size: int) -> tuple[int, list[ReplicaView]]:
         """Create or version an object; returns (version, replaced replicas)."""
         validate_path(path)
-        if not _CHECKSUM_RE.match(checksum):
+        if not _CHECKSUM_RE.fullmatch(checksum):
             raise ValueError(f"bad checksum {checksum!r}")
         if size < 0:
             raise ValueError("negative size")
@@ -827,11 +827,15 @@ class Catalog:
                 "path": path, "physical_ref": physical_ref, "status": status,
             })
 
-    def remove_object(self, path: str) -> None:
+    def remove_object(self, path: str) -> list[ReplicaView]:
+        """Remove an object; returns the replicas its record dropped."""
         with self._lock:
-            if path not in self._objects:
+            obj = self._objects.get(path)
+            if obj is None:
                 raise NoSuchObject(path)
+            dropped = [ReplicaView(**r) for r in obj["replicas"]]
             self._commit("object.remove", {"path": path})
+            return dropped
 
     def get_object(self, path: str) -> ObjectView:
         with self._lock:

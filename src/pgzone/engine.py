@@ -34,7 +34,14 @@ from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .catalog import Catalog, ObjectView, RuleEntryView, parent_path, validate_path
+from .catalog import (
+    Catalog,
+    ObjectView,
+    ReplicaView,
+    RuleEntryView,
+    parent_path,
+    validate_path,
+)
 from .common import SYSTEM, sha256_hex
 from .drivers import Driver, DriverRegistry
 from .errors import (
@@ -42,7 +49,6 @@ from .errors import (
     ChecksumMismatch,
     CorruptJournal,
     Denied,
-    DriverError,
     DuplicateName,
     DuplicateReplica,
     EngineError,
@@ -54,7 +60,6 @@ from .errors import (
     NoSuchRef,
     TypeMismatch,
     UnknownPep,
-    Unsupported,
     ZoneError,
 )
 from .ruledsl import (
@@ -569,10 +574,11 @@ class Engine:
         return self.catalog.get_object(path)
 
     def _dispose_replica(self, path: str, replica) -> None:
-        """Delete the bytes of a replica a put replaced. When they cannot
-        be deleted (Unsupported, any other DriverError, or no driver),
-        park the replica on the orphan list so an operator can reclaim
-        it; the put stands either way."""
+        """Delete the bytes of a replica no record names any more: one a
+        put replaced or a remove dropped, or a replicate copy that read
+        back wrong. When they cannot be deleted (Unsupported, any other
+        DriverError, or no driver), park the replica on the orphan list
+        so an operator can reclaim it; the operation stands either way."""
         try:
             driver, _root = self._driver_for(replica.resource)
             driver.unlink(replica.physical_ref)
@@ -638,10 +644,8 @@ class Engine:
         driver.store(ref, data)
         back = driver.read_all(ref)
         if sha256_hex(back) != checksum:
-            try:
-                driver.unlink(ref)
-            except DriverError:
-                pass
+            self._dispose_replica(path, ReplicaView(
+                dest_resource, ref, sha256_hex(back), len(back), "suspect"))
             raise ChecksumMismatch(
                 f"replica on {dest_resource!r} reads back corrupted")
         self.catalog.add_replica(path, dest_resource, ref, checksum,
@@ -679,29 +683,9 @@ class Engine:
             with self.trapped("data.remove", actor, **{
                     "obj.path": path, "obj.owner": obj.owner}):
                 self.catalog.require_access(path, actor, "write")
-                for replica in obj.replicas:
-                    self._unlink_or_orphan(actor, path, replica)
-                self.catalog.remove_object(path)
+                for replica in self.catalog.remove_object(path):
+                    self._dispose_replica(path, replica)
             self.catalog.audit_append(actor, "data.remove", path)
-
-    def _unlink_or_orphan(self, actor: str, path: str, replica) -> None:
-        """Delete the bytes of a replica a remove drops. A driver that
-        never deletes (Unsupported) leaves it on the orphan list; any
-        other DriverError marks it suspect and raises EngineError, so the
-        object is kept."""
-        driver, _root = self._driver_for(replica.resource)
-        try:
-            driver.unlink(replica.physical_ref)
-        except NoSuchRef:
-            pass
-        except Unsupported:
-            self.catalog.add_orphan(path, replica.resource,
-                                    replica.physical_ref, replica.checksum)
-        except DriverError as e:
-            self.catalog.set_replica_status(
-                path, replica.physical_ref, "suspect")
-            raise EngineError(
-                f"unlink of {replica.physical_ref!r} failed: {e}") from e
 
     def replicate(self, actor: str, path: str,
                   dest_resource: str) -> ObjectView:

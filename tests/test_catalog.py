@@ -121,6 +121,33 @@ def test_a_journaled_name_ending_in_a_newline_still_replays(tmp_path,
         c.close()
 
 
+def test_checksums_ending_in_a_newline_are_refused():
+    c = fresh_catalog()
+    with pytest.raises(ValueError, match="bad checksum"):
+        c.put_object("/o", "admin", "r1", "ref", sha256_hex(b"x") + "\n", 1)
+    assert not c.object_exists("/o")
+
+
+def test_a_journaled_checksum_ending_in_a_newline_still_replays(
+        tmp_path, monkeypatch):
+    # Journals written before checksums had to match whole may hold one;
+    # replay does not validate checksums, so the zone still opens.
+    monkeypatch.setattr(pgzone.catalog, "_CHECKSUM_RE",
+                        re.compile(r"[0-9a-f]{64}\n?"))
+    c = Catalog(tmp_path)
+    c.create_user(SYSTEM, "admin", "admin", "pw")
+    c.make_collection(SYSTEM, "/", owner="admin")
+    c.put_object("/o", "admin", "r1", "ref", sha256_hex(b"x") + "\n", 1)
+    c.close()
+    monkeypatch.undo()
+    c = Catalog(tmp_path)
+    try:
+        [replica] = c.get_object("/o").replicas
+        assert replica.checksum == sha256_hex(b"x") + "\n"
+    finally:
+        c.close()
+
+
 def test_secret_verification():
     c = fresh_catalog()
     c.create_user("admin", "ada", "user", "correct horse")

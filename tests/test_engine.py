@@ -479,9 +479,11 @@ def test_replicate_duplicate_and_missing_dest(zone):
         zone.engine.replicate("u", "/home/u/f", "r99")
 
 
-def test_replicate_readback_catches_corruption(zone):
+@pytest.mark.parametrize("fail_unlink", [False, True])
+def test_replicate_readback_catches_corruption(zone, fail_unlink):
     add_user(zone, "u")
-    bad = FaultDriver(MemDriver(), corrupt_writes=True)
+    bad = FaultDriver(MemDriver(), corrupt_writes=True,
+                      fail_unlink=fail_unlink)
     zone.register_driver(ADMIN, "badmem", bad)
     zone.ensure_resource(SYSTEM, "rbad", "badmem", "/blobs/rbad", "cache")
     zone.engine.put("u", "/home/u/f", b"payload")
@@ -490,6 +492,11 @@ def test_replicate_readback_catches_corruption(zone):
     # Failed copy is not registered as a replica.
     view = zone.catalog.get_object("/home/u/f")
     assert [r.resource for r in view.replicas] == ["main"]
+    # Its bytes are deleted, or orphan-listed when they cannot be.
+    orphans = [(o["resource"], o["physical_ref"])
+               for o in zone.catalog.orphans()]
+    assert orphans == [("rbad", ref) for ref in bad.inner.blobs]
+    assert len(bad.inner.blobs) == (1 if fail_unlink else 0)
 
 
 def test_stage_and_archive_enforce_resource_kind(zone):
@@ -519,11 +526,46 @@ def test_remove_orphans_archived_replica(zone):
     assert orphans[0]["checksum"] == sha256_hex(b"payload")
 
 
+def test_remove_orphans_a_replica_its_driver_cannot_unlink(zone):
+    zone.register_driver(ADMIN, "flaky",
+                         FaultDriver(MemDriver(), fail_unlink=True))
+    zone.ensure_resource(SYSTEM, "r2", "flaky", "/blobs/r2", "cache")
+    add_user(zone, "u")
+    zone.engine.put("u", "/home/u/f", b"good")
+    first, second = zone.engine.replicate("u", "/home/u/f", "r2").replicas
+    assert (first.resource, second.resource) == ("main", "r2")
+    zone.engine.remove("u", "/home/u/f")
+    assert not zone.catalog.object_exists("/home/u/f")
+    assert zone.drivers.get("mem").blobs == {}
+    assert [(o["path"], o["resource"], o["physical_ref"], o["checksum"])
+            for o in zone.catalog.orphans()] == \
+        [("/home/u/f", "r2", second.physical_ref, sha256_hex(b"good"))]
+
+
+def test_remove_disposes_of_a_replica_its_pre_rule_added(zone):
+    zone.register_driver(ADMIN, "mem2", MemDriver())
+    zone.ensure_resource(SYSTEM, "r2", "mem2", "/blobs/r2", "cache")
+    add_user(zone, "u")
+    zone.engine.put("u", "/home/u/f", b"payload")
+    zone.engine.add_rules(ADMIN, '''
+        rule copy_first on pep.data.remove.pre do
+            replicate_to($obj.path, "r2")
+    ''')
+    zone.engine.remove("u", "/home/u/f")
+    assert not zone.catalog.object_exists("/home/u/f")
+    assert [r["args"]["resource"] for r in zone.catalog.records()
+            if r["op"] == "replica.add"] == ["r2"]
+    # No blob is left that neither a record nor an orphan entry names.
+    assert zone.catalog.orphans() == []
+    assert zone.drivers.get("mem").blobs == {}
+    assert zone.drivers.get("mem2").blobs == {}
+
+
 # How the engine disposes of the replica a put replaces or a remove drops,
 # for each answer a driver's unlink can give: done ("gone"), Unsupported
-# or another DriverError ("orphan" on a put; a remove that cannot unlink
-# keeps the object, marks the replica suspect and raises EngineError),
-# or NoSuchRef for a blob deleted out of band ("vanished").
+# or another DriverError ("orphan": the put or remove stands and the
+# replica goes on the orphan list), or NoSuchRef for a blob deleted out
+# of band ("vanished").
 DISPOSAL_DRIVERS = {
     "mem": (MemDriver, "gone"),
     "localfs": (LocalFsDriver, "gone"),
@@ -549,14 +591,6 @@ def test_replaced_or_removed_replica_is_disposed_of(zone, tmp_path, kind,
     if op == "put":
         zone.engine.put("u", "/home/u/f", b"two", resource="r")
         assert zone.engine.get("u", "/home/u/f") == b"two"
-    elif kind == "fail_unlink":
-        with pytest.raises(EngineError):
-            zone.engine.remove("u", "/home/u/f")
-        [replica] = zone.catalog.get_object("/home/u/f").replicas
-        assert (replica.physical_ref, replica.status) == \
-            (old.physical_ref, "suspect")
-        assert zone.catalog.orphans() == []
-        return
     else:
         zone.engine.remove("u", "/home/u/f")
         assert not zone.catalog.object_exists("/home/u/f")
@@ -584,14 +618,11 @@ def test_localfs_blob_turned_directory_is_disposed_of_as_unlink_failure(
     if op == "put":
         assert zone.engine.put("u", "/home/u/f", b"two",
                                resource="disk").version == 2
-        assert [o["physical_ref"] for o in zone.catalog.orphans()] == \
-            [old.physical_ref]
     else:
-        with pytest.raises(EngineError):
-            zone.engine.remove("u", "/home/u/f")
-        [replica] = zone.catalog.get_object("/home/u/f").replicas
-        assert replica.status == "suspect"
-        assert zone.catalog.orphans() == []
+        zone.engine.remove("u", "/home/u/f")
+        assert not zone.catalog.object_exists("/home/u/f")
+    assert [o["physical_ref"] for o in zone.catalog.orphans()] == \
+        [old.physical_ref]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ from pathlib import Path
 import pytest
 
 from pgzone.catalog import Catalog
+from pgzone.common import sha256_hex
+from pgzone.zone import Zone
 
 HELPER = Path(__file__).with_name("_crash_session.py")
+REMOVE_HELPER = Path(__file__).with_name("_remove_kill_session.py")
 
 
 def crash_then_reopen(tmp_path, seed, n_ops=200):
@@ -40,3 +43,22 @@ def test_recovery_crossing_snapshot_boundary(tmp_path):
     assert list(journal_dir.glob("snapshot-*.json")), \
         "session should have crossed the snapshot threshold"
     assert got == want
+
+
+def test_a_kill_inside_remove_leaves_no_listed_object_without_bytes(
+        tmp_path):
+    journal_dir = tmp_path / "journal"
+    proc = subprocess.run(
+        [sys.executable, str(REMOVE_HELPER), str(journal_dir),
+         str(tmp_path / "blobs")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 9, proc.stderr
+    zone = Zone(journal_dir=journal_dir)
+    try:
+        listed = sorted(zone.catalog.state_dict()["objects"])
+        assert listed == ["/home/keep"]
+        for path in listed:
+            data, checksum = zone.engine.read_object("admin", path)
+            assert sha256_hex(data) == checksum
+    finally:
+        zone.close()
