@@ -4,12 +4,15 @@ Failures surface as ClientError carrying the HTTP status plus the
 server's error name and detail, so callers can branch on .status or
 .error without parsing text.
 
-A client talks to one server over one keep-alive http.client
-connection, with the standard library only. It does not read the
-environment per request: the proxy for its server URL (HTTP(S)_PROXY,
-ALL_PROXY, NO_PROXY) is resolved once, at construction, and ~/.netrc is
-never consulted, since a netrc entry for the server's host would replace
-the bearer token. https:// URLs are verified against the system's CAs.
+A client talks to one server over one keep-alive socket, with the
+standard library only: http.client opens it (through a proxy or a
+CONNECT tunnel, with TLS), and the client writes each request and reads
+each answer itself, framed as the gateway frames them (wire.py). It does
+not read the environment per request: the proxy for its server URL
+(HTTP(S)_PROXY, ALL_PROXY, NO_PROXY) is resolved once, at construction,
+and ~/.netrc is never consulted, since a netrc entry for the server's
+host would replace the bearer token. https:// URLs are verified against
+the system's CAs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import base64
 import http.client
 import json
+import re
 import select
 import ssl
 import threading
@@ -25,6 +29,8 @@ import weakref
 from typing import NamedTuple
 from urllib.parse import quote, unquote, urlencode, urlsplit
 from urllib.request import getproxies, proxy_bypass
+
+from .wire import MAX_LINE, FramingError, Headers, read_head
 
 
 class ClientError(Exception):
@@ -43,7 +49,7 @@ class Response(NamedTuple):
     """One answer, read whole: its status, headers and body."""
 
     status: int
-    headers: http.client.HTTPMessage
+    headers: Headers
     content: bytes
 
     def json(self):
@@ -61,13 +67,39 @@ def _peer_closed(sock) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
+_STATUS_LINE = re.compile(rb"HTTP/1\.[01] ([0-9]{3})(?: [^\r\n]*)?\r\n")
+# What may not stand in a request target or a bearer token: a blank or a
+# control character would end the request line or a header line early.
+_UNSENDABLE = re.compile("[\x00-\x20\x7f]")
+
+
+def _read_response(rfile) -> tuple[Response, bool]:
+    """One answer read whole, and whether the server closes after it."""
+    line = rfile.readline(MAX_LINE + 1)
+    status = _STATUS_LINE.fullmatch(line)
+    if status is None:
+        raise FramingError(f"malformed status line {line[:80]!r}")
+    headers, length = read_head(rfile)
+    close = "close" in headers.get("Connection", "").lower()
+    if length is None and not close:
+        raise FramingError("a keep-alive answer without Content-Length")
+    content = rfile.read(length)  # up to the close when length is None
+    if length is not None and len(content) != length:
+        raise FramingError(f"body ended after {len(content)} of {length}")
+    return Response(int(status[1]), headers, content), close
+
+
 def _connect(server: str, timeout: float):
     """The connection for server through the proxy the environment names
     for it now, unopened; what each request path is appended to; and
-    the headers the proxy wants on each request."""
+    the header lines each request carries, the proxy's among them."""
     url = urlsplit(server)
     if url.scheme not in ("http", "https") or not url.hostname:
         raise ValueError("the server URL must be http[s]://host[:port]")
+    if re.search("[^\x21-\x7e]", server):
+        raise ValueError("the server URL must be printable ASCII")
+    lines = [f"Host: {url.netloc.rpartition('@')[2]}",
+             "Accept-Encoding: identity"]
     https = url.scheme == "https"
     port = url.port or (443 if https else 80)
     kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
@@ -75,7 +107,8 @@ def _connect(server: str, timeout: float):
     proxies = getproxies()
     proxy = proxies.get(url.scheme) or proxies.get("all")
     if not proxy or proxy_bypass(f"{url.hostname}:{port}"):
-        return kind(url.hostname, port, timeout=timeout, **tls), url.path, {}
+        conn = kind(url.hostname, port, timeout=timeout, **tls)
+        return conn, url.path, lines
     purl = urlsplit(proxy if "://" in proxy else "http://" + proxy)
     if not purl.hostname:
         raise ValueError(f"proxy {proxy!r} names no host")
@@ -87,9 +120,9 @@ def _connect(server: str, timeout: float):
     conn = kind(purl.hostname, purl.port or 80, timeout=timeout, **tls)
     if https:  # a CONNECT tunnel through the proxy, TLS inside it
         conn.set_tunnel(url.hostname, port, headers=auth)
-        return conn, url.path, {}
+        return conn, url.path, lines
     # Plain HTTP goes to the proxy whole: an absolute URL, its own auth.
-    return conn, server, auth
+    return conn, server, lines + [f"{k}: {v}" for k, v in auth.items()]
 
 
 class ZoneClient:
@@ -117,30 +150,42 @@ class ZoneClient:
 
     def _request(self, method: str, path: str, *, params=None,
                  json_body=None, data=None) -> Response:
-        headers = {**self._headers, "X-Request-Id": uuid.uuid4().hex}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        if json_body is not None:
-            headers["Content-Type"] = "application/json"
-            data = json.dumps(json_body).encode("utf-8")
         target = self._prefix + path
         if params:
             target += "?" + urlencode(params)
+        if _UNSENDABLE.search(target) or _UNSENDABLE.search(self.token or ""):
+            raise ValueError(f"{method} {path}: a blank or control character "
+                             "in the request target or the token")
+        lines = [f"{method} {target} HTTP/1.1", *self._headers,
+                 f"X-Request-Id: {uuid.uuid4().hex}"]
+        if self.token:
+            lines.append(f"Authorization: Bearer {self.token}")
+        if json_body is not None:
+            lines.append("Content-Type: application/json")
+            data = json.dumps(json_body).encode("utf-8")
+        if data is not None or method in ("POST", "PUT"):
+            lines.append(f"Content-Length: {len(data or b'')}")
+        message = "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" \
+            + (data or b"")
         conn = self._conn
         with self._lock:
             if conn.sock is not None and _peer_closed(conn.sock):
                 conn.close()  # the next request opens a fresh socket
             try:
-                conn.request(method, target, data, headers)
-                answer = conn.getresponse()
-                response = Response(answer.status, answer.headers,
-                                    answer.read())
+                if conn.sock is None:
+                    conn.connect()
+                conn.sock.sendall(message)
+                with conn.sock.makefile("rb") as rfile:
+                    response, close = _read_response(rfile)
             except BaseException as e:
                 # Never resent: its bytes may have reached the server.
                 conn.close()
-                if isinstance(e, (OSError, http.client.HTTPException)):
+                if isinstance(e, (OSError, http.client.HTTPException,
+                                  FramingError)):
                     raise TransportError(f"{method} {path}: {e}") from e
                 raise
+            if close:
+                conn.close()
         if response.status >= 400:
             try:
                 payload = response.json()
@@ -281,18 +326,18 @@ class ZoneClient:
                           json_body={"coll": coll, "source": source})
 
     def workflow(self, workflow_id: str) -> dict:
-        return self._json("GET", "/workflows/" + workflow_id)
+        return self._json("GET", "/workflows/" + quote(workflow_id, safe=""))
 
     def run(self, workflow_id: str, bindings: dict) -> dict:
         return self._json("POST", "/runs", json_body={
             "workflow_id": workflow_id, "bindings": bindings})
 
     def rerun(self, run_id: str, overrides: dict | None = None) -> dict:
-        return self._json("POST", f"/runs/{run_id}:rerun",
+        return self._json("POST", f"/runs/{quote(run_id, safe='')}:rerun",
                           json_body={"overrides": overrides or {}})
 
     def run_record(self, run_id: str) -> dict:
-        return self._json("GET", "/runs/" + run_id)
+        return self._json("GET", "/runs/" + quote(run_id, safe=""))
 
     def diff_runs(self, a: str, b: str) -> dict:
         return self._json("GET", "/runs/diff", params={"a": a, "b": b})

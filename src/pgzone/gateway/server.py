@@ -8,6 +8,12 @@ raw bytes (data objects and stream segments). Every response carries
 X-Request-Id (echoed from the request when present) and JSON errors
 carry {"error": <exception name>, "detail": <text>}.
 
+A connection has a thread of its own, up to MAX_CONNECTIONS (one more is
+answered 503 and closed), and is closed once it waits IDLE_TIMEOUT for a
+request's next bytes. Its headers are read by wire.read_head, which
+refuses the framings pgzone does not speak, and each answer goes out in
+one write of status line, headers and body.
+
 Authentication is a Bearer token from POST /login; only /login and
 /ping are open. Uploading executable extensions (micro-services and
 drivers) additionally requires the allow_dynamic_code switch, because
@@ -17,12 +23,14 @@ that code runs inside the server process.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import socket
 import threading
 import time
 import uuid
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
@@ -31,10 +39,17 @@ from ..errors import BadCredentials, Denied, NoSuchPath, ZoneError
 from ..zone import Zone
 from .config import GatewayConfig
 from .sessions import SessionStore
+from .wire import FramingError, Headers, read_head
 
 log = logging.getLogger("pgzone.gateway")
 
 MAX_BODY = 256 * 1024 * 1024
+# Connections served at once, one thread each; the next is answered 503
+# and closed.
+MAX_CONNECTIONS = 256
+# Seconds a connection may wait, between requests or inside a request's
+# head, for its next bytes before it is closed and frees its slot.
+IDLE_TIMEOUT = 60.0
 
 def _as_dict(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -103,7 +118,7 @@ class GatewayServer:
                         for method, pattern, verb, name in ROUTES}
         host = host if host is not None else self.config.bind_host
         port = port if port is not None else self.config.bind_port
-        handler = _make_handler(self)
+        handler = type("Handler", (Handler,), {"gateway": self})
         self.httpd = ThreadingHTTPServer((host, port), handler)
         self.httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
@@ -438,94 +453,160 @@ def _object_payload(view) -> dict:
     return payload
 
 
-def _make_handler(gateway: GatewayServer):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = "pgzone-gateway"
-        # TCP_NODELAY: headers and body go out in separate sends, and on
-        # a keep-alive socket Nagle's algorithm would hold the body back
-        # until the client's delayed ACK (~40 ms) arrives.
-        disable_nagle_algorithm = True
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    return formatdate(second, usegmt=True)
 
-        def log_message(self, fmt, *args):
-            log.debug("%s " + fmt, self.address_string(), *args)
 
-        def setup(self):
-            super().setup()
-            with gateway._handlers_guard:
-                gateway._handlers[self.connection] = \
-                    threading.current_thread()
+class Handler(BaseHTTPRequestHandler):
+    """Serves one connection for `gateway`, set on a subclass per server:
+    reads each request (parse_request, _read_body), hands it to
+    gateway.route (_handle) and writes the answer (_respond)."""
 
-        def finish(self):
-            with gateway._handlers_guard:
-                del gateway._handlers[self.connection]
-            super().finish()
+    gateway: GatewayServer
+    protocol_version = "HTTP/1.1"
+    server_version = "pgzone-gateway"
+    # TCP_NODELAY: a large answer leaves in many segments, and on a
+    # keep-alive socket Nagle's algorithm could hold its short last one
+    # back until the client's delayed ACK (~40 ms) arrives.
+    disable_nagle_algorithm = True
 
-        def handle(self):
-            # BaseHTTPRequestHandler.handle, which stops at shutdown too.
-            self.close_connection = False
-            while not (self.close_connection or gateway._closing):
-                self.handle_one_request()
+    def log_message(self, fmt, *args):
+        log.debug("%s " + fmt, self.address_string(), *args)
 
-        def _read_body(self) -> bytes:
-            text = self.headers.get("Content-Length") or "0"
-            length = int(text) if text.isascii() and text.isdigit() else -1
-            if not 0 <= length <= MAX_BODY:
-                # The body stays unread, so the connection cannot carry
-                # another request.
-                self.close_connection = True
-                raise ValueError(
-                    f"Content-Length must be 0..{MAX_BODY}, got {text!r}")
-            body = self.rfile.read(length) if length else b""
-            if len(body) != length:  # the peer or a shutdown ended it
-                self.close_connection = True
-                raise ValueError(
-                    f"body ended after {len(body)} of {length} bytes")
-            return body
+    def setup(self):
+        super().setup()
+        with self.gateway._handlers_guard:
+            handlers = self.gateway._handlers
+            self._refused = len(handlers) >= MAX_CONNECTIONS
+            if not self._refused:
+                handlers[self.connection] = threading.current_thread()
 
-        def _respond(self, status: int, data: bytes, content_type: str,
-                     extra: dict | None = None) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.send_header("X-Request-Id", self._request_id)
-            for key, value in (extra or {}).items():
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(data)
+    def finish(self):
+        with self.gateway._handlers_guard:
+            self.gateway._handlers.pop(self.connection, None)
+        super().finish()
 
-        def _handle(self) -> None:
-            self._request_id = self.headers.get("X-Request-Id") \
-                or uuid.uuid4().hex
-            try:
-                parts = urlsplit(self.path)
-                body = self._read_body()
-                payload = gateway.route(self.command, parts.path,
-                                        parse_qs(parts.query), body,
-                                        self.headers)
-                if isinstance(payload, tuple):
-                    data, extra = payload
-                    self._respond(200, data, "application/octet-stream",
-                                  extra)
-                else:
-                    data = json.dumps(payload).encode("utf-8")
-                    self._respond(200, data, "application/json")
-            except Exception as e:  # every failure maps to a JSON error
-                if isinstance(e, ZoneError):
-                    status = e.http_status
-                else:
-                    status = 400 if isinstance(e, ValueError) else 500
-                if status >= 500:
-                    log.exception("request failed: %s %s", self.command,
-                                  self.path)
-                detail = json.dumps({
-                    "error": type(e).__name__, "detail": str(e),
-                }).encode("utf-8")
-                try:
-                    self._respond(status, detail, "application/json")
-                except (BrokenPipeError, ConnectionResetError):
-                    pass
+    def handle(self):
+        self.headers = Headers()  # until a request's own are read
+        if self._refused:
+            self.requestline, self.close_connection = "", True
+            self._error(503, "TooManyConnections", "the gateway serves at "
+                        f"most {MAX_CONNECTIONS} connections at once")
+            self._linger()
+            return
+        # BaseHTTPRequestHandler.handle, which stops at shutdown too. Its
+        # TimeoutError ends the connection; parse_request lifts the
+        # timeout once a request's head is read.
+        self.close_connection = False
+        while not (self.close_connection or self.gateway._closing):
+            self.connection.settimeout(IDLE_TIMEOUT)
+            self.handle_one_request()
+            self.headers = Headers()
 
-        do_GET = do_PUT = do_POST = do_DELETE = _handle
+    def _linger(self) -> None:
+        """Read what the client sends until it closes, for about a second:
+        a socket closed with a request unread is reset, and the reset can
+        drop the answer before the client reads it."""
+        deadline = time.monotonic() + 1
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            self.connection.settimeout(1)
+            while self.connection.recv(65536) and \
+                    time.monotonic() < deadline:
+                pass
+        except OSError:  # reset or timed out: nothing more to wait for
+            pass
 
-    return Handler
+    def parse_request(self) -> bool:
+        """Parse the request line handle_one_request read, then read the
+        headers; False once a refusal has been sent."""
+        self.command, self.close_connection = None, True
+        self.requestline = str(self.raw_requestline, "latin-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            self.send_error(400, f"bad request line {self.requestline!r}")
+            return False
+        self.command, self.path, self.request_version = words
+        try:
+            self.headers, self._length = read_head(self.rfile)
+        except FramingError as e:
+            self.send_error(e.status, str(e))
+            return False
+        self.connection.settimeout(None)
+        connection = self.headers.get("Connection", "").lower()
+        self.close_connection = connection == "close" or (
+            self.request_version == "HTTP/1.0" and connection != "keep-alive")
+        if self.request_version == "HTTP/1.1" and \
+                self.headers.get("Expect", "").lower() == "100-continue":
+            return self.handle_expect_100()
+        return True
+
+    def _read_body(self) -> bytes:
+        length = self._length or 0
+        if length > MAX_BODY:
+            # The body stays unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            raise ValueError(f"Content-Length must be 0..{MAX_BODY}, "
+                             f"got {length}")
+        body = self.rfile.read(length) if length else b""
+        if len(body) != length:  # the peer or a shutdown ended it
+            self.close_connection = True
+            raise ValueError(f"body ended after {len(body)} of {length} bytes")
+        return body
+
+    def _handle(self) -> None:
+        try:
+            parts = urlsplit(self.path)
+            body = self._read_body()
+            payload = self.gateway.route(self.command, parts.path,
+                                         parse_qs(parts.query), body,
+                                         self.headers)
+            if isinstance(payload, tuple):
+                data, extra = payload
+                self._respond(200, data, "application/octet-stream", extra)
+            else:
+                self._respond(200, json.dumps(payload).encode("utf-8"),
+                              "application/json")
+        except Exception as e:  # every failure maps to a JSON error
+            if isinstance(e, ZoneError):
+                status = e.http_status
+            else:
+                status = 400 if isinstance(e, ValueError) else 500
+            if status >= 500:
+                log.exception("request failed: %s %s", self.command,
+                              self.path)
+            self._error(status, type(e).__name__, str(e))
+
+    do_GET = do_PUT = do_POST = do_DELETE = _handle
+
+    def send_error(self, code, message=None, explain=None):
+        """Refuse a request that cannot be read, and close: http.server's
+        own refusals (414, 501 for a method) and the reader's."""
+        self.close_connection = True
+        self._error(code, "FramingError", message or self.responses[code][0])
+        self._linger()
+
+    def _error(self, status: int, name: str, detail: str) -> None:
+        data = json.dumps({"error": name, "detail": detail}).encode("utf-8")
+        try:
+            self._respond(status, data, "application/json")
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+
+    def _respond(self, status: int, data: bytes, content_type: str,
+                 extra: dict | None = None) -> None:
+        self.log_request(status, len(data))
+        lines = [f"HTTP/1.1 {status} {self.responses[status][0]}",
+                 f"Server: {self.version_string()}",
+                 f"Date: {_http_date(int(time.time()))}",
+                 f"Content-Type: {content_type}",
+                 f"Content-Length: {len(data)}",
+                 "X-Request-Id: " + (self.headers.get("X-Request-Id")
+                                     or uuid.uuid4().hex)]
+        lines += [f"{key}: {value}" for key, value in (extra or {}).items()]
+        if self.close_connection:
+            lines.append("Connection: close")
+        self.wfile.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+                         + data)

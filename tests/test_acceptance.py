@@ -338,6 +338,7 @@ def test_provenance_rerun_stale_and_diff():
 def test_hot_plug_under_concurrent_load():
     with criterion(6, "hot plug under load", 30.0):
         zone = make_zone()
+        switch_interval = sys.getswitchinterval()
         try:
             zone.catalog.make_collection(ADMIN, "/hot")
             n_threads, n_iters = 10, 400
@@ -360,6 +361,10 @@ def test_hot_plug_under_concurrent_load():
 
             threads = [threading.Thread(target=worker, args=(k,))
                        for k in range(n_threads)]
+            # Each step of the main thread waits for the interpreter lock
+            # behind ten busy workers; at the default 5 ms switch interval
+            # its registrations could outlast the load.
+            sys.setswitchinterval(0.0005)
             for t in threads:
                 t.start()
             barrier.wait()
@@ -398,6 +403,7 @@ def test_hot_plug_under_concurrent_load():
             assert failures == []
             assert done_counts == [n_iters] * n_threads
         finally:
+            sys.setswitchinterval(switch_interval)
             zone.close()
 
 

@@ -1,5 +1,6 @@
 import argparse
 import base64
+import contextlib
 import hashlib
 import http.client
 import json
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from pgzone import errors
+from pgzone.gateway import server as server_module
 from pgzone.gateway.cli import build_parser, main
 from pgzone.gateway.client import ClientError, TransportError, ZoneClient
 from pgzone.gateway.config import GatewayConfig
@@ -150,6 +152,222 @@ def test_keepalive_requests_do_not_stall(gw):
     for _ in range(50):
         client.ping()
     assert time.perf_counter() - start < 1.0
+
+
+def read_answer(sock) -> tuple[int, bytes]:
+    """Read one final answer on sock whole, skipping a 100 Continue; its
+    status and body."""
+    answer = http.client.HTTPResponse(sock)
+    try:
+        answer.begin()
+        return answer.status, answer.read()
+    finally:
+        answer.close()
+
+
+def exchange(address, raw: bytes, end: bool = False) -> tuple[int, bool]:
+    """Send raw bytes on a fresh socket, and end its sending half when
+    `end`; the status of the answer, and whether a ping sent next on the
+    same socket is answered 200."""
+    with socket.create_connection(address, timeout=3) as sock:
+        sock.sendall(raw)
+        if end:
+            sock.shutdown(socket.SHUT_WR)
+        status, _ = read_answer(sock)
+        try:
+            sock.sendall(PING + b"\r\n")
+            still_open = read_answer(sock)[0] == 200
+        except (ConnectionError, http.client.HTTPException):
+            still_open = False
+    return status, still_open
+
+
+PING = b"GET /ping HTTP/1.1\r\nHost: x\r\n"
+LOGIN = json.dumps({"user": ADMIN, "secret": ADMIN_SECRET}).encode()
+
+
+@pytest.mark.parametrize("raw, end, status, stays_open", [
+    pytest.param(PING + b"\r\n", False, 200, True, id="plain"),
+    pytest.param(PING + b"Content-Length: 0\r\nContent-Length: 0\r\n\r\n",
+                 False, 400, False, id="duplicate-content-length"),
+    pytest.param(PING + b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+                 False, 501, False, id="chunked"),
+    pytest.param(PING + b"X-Long: " + b"a" * (65 << 10) + b"\r\n\r\n",
+                 False, 431, False, id="65k-header-line"),
+    # Ten values of 64 KiB, nearly all blanks: read in linear time they
+    # are answered well within exchange's 3 s timeout; a pattern that
+    # backtracks over the blanks took ~10 s a line.
+    pytest.param(PING + b"".join(b"X-%d: a%sb\r\n" % (i, b" " * 65000)
+                                 for i in range(10)) + b"\r\n",
+                 False, 200, True, id="64k-blank-values"),
+    pytest.param(PING + b"".join(b"X-%d: 1\r\n" % i for i in range(99))
+                 + b"\r\n", False, 200, True, id="100-headers"),
+    pytest.param(PING + b"".join(b"X-%d: 1\r\n" % i for i in range(100))
+                 + b"\r\n", False, 431, False, id="101-headers"),
+    pytest.param(b"GET /ping HTTP/1.1\nHost: x\n\n", False, 400, False,
+                 id="bare-lf"),
+    pytest.param(PING + b"X-No-Colon\r\n\r\n", False, 400, False,
+                 id="no-colon"),
+    pytest.param(PING + b"X-A: 1\r\n folded\r\n\r\n", False, 400, False,
+                 id="folded-line"),
+    pytest.param(b"POST /login HTTP/1.1\r\nHost: x\r\nContent-Length: 10"
+                 b"\r\n\r\nabc", True, 400, False, id="body-cut-short"),
+    pytest.param(b"POST /login HTTP/1.1\r\nHost: x\r\nExpect: 100-continue"
+                 b"\r\nContent-Length: %d\r\n\r\n%s" % (len(LOGIN), LOGIN),
+                 False, 200, True, id="expect-100-continue"),
+    pytest.param(PING + b"Connection: close\r\n\r\n", False, 200, False,
+                 id="connection-close"),
+    pytest.param(b"GET /ping HTTP/1.0\r\n\r\n", False, 200, False,
+                 id="http-1.0"),
+])
+def test_hostile_request_table(gw, raw, end, status, stays_open):
+    assert exchange(gw.address, raw, end) == (status, stays_open)
+    assert ZoneClient(gw.url).ping()["zone"]  # the gateway still serves
+
+
+def test_route_finds_headers_in_any_case(gw):
+    seen = []
+    route = gw.route
+
+    def record(method, path, query, body, headers):
+        seen.append((headers.get("X-Request-Id"), headers.get("HOST")))
+        return route(method, path, query, body, headers)
+
+    gw.route = record
+    assert exchange(gw.address, b"GET /ping HTTP/1.1\r\nhost: h\r\n"
+                    b"x-request-id: abc\r\n\r\n") == (200, True)
+    assert seen[0] == ("abc", "h")
+
+
+def test_connections_past_the_cap_are_refused(gw, monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
+    with contextlib.ExitStack() as stack:
+        socks = [stack.enter_context(
+            socket.create_connection(gw.address, timeout=3))
+            for _ in range(2)]
+        for sock in socks:  # each answered, so each is counted
+            sock.sendall(PING + b"\r\n")
+            assert read_answer(sock)[0] == 200
+        # The third is refused while it still sends a 4 MiB body, and
+        # reads the 503 rather than a reset.
+        client = ZoneClient(gw.url)
+        with pytest.raises(ClientError) as refused:
+            client.put("/home/f", b"x" * (4 << 20))
+        assert (refused.value.status, refused.value.error) == (
+            503, "TooManyConnections")
+        assert client._conn.sock is None  # and closed
+        assert len(gw._handlers) == 2
+        for sock in socks:
+            sock.sendall(PING + b"\r\n")
+            assert read_answer(sock)[0] == 200
+
+
+def test_idle_connections_are_closed_and_free_their_slot(gw, monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 1)
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT", 0.5)
+    with socket.create_connection(gw.address, timeout=3) as sock:
+        for _ in range(8):  # busy for 0.8 s, never idle for 0.5 s
+            time.sleep(0.1)
+            sock.sendall(PING + b"\r\n")
+            assert read_answer(sock)[0] == 200
+        sock.sendall(b"GET /ping HTTP/1.1\r\n")  # a head cut off
+        assert sock.recv(1) == b""  # closed 0.5 s on, unanswered
+    with socket.create_connection(gw.address, timeout=3) as sock:
+        sock.sendall(PING + b"\r\n")  # the slot is free again
+        assert read_answer(sock)[0] == 200
+
+
+def serve_once(answer: bytes):
+    """A raw-socket server for one connection: it reads a request head,
+    writes `answer` and ends its sending half, then keeps what arrives
+    until the client closes. Returns its listener and a thread whose
+    `received` attribute holds every byte the client sent."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5)
+            data = b""
+            while b"\r\n\r\n" not in data:
+                data += conn.recv(4096)
+            conn.sendall(answer)
+            conn.shutdown(socket.SHUT_WR)
+            while chunk := conn.recv(4096):
+                data += chunk
+        thread.received = data
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener, thread
+
+
+@pytest.mark.parametrize("answer", [
+    pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                 b"2\r\n{}\r\n0\r\n\r\n", id="chunked"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+                 b"Content-Length: 2\r\n\r\n{}", id="two-content-lengths"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                 b"\r\n{}", id="keep-alive-without-length"),
+    pytest.param(b"HTTP/1.1 20", id="status-line-cut"),
+])
+def test_client_refuses_a_malformed_answer_once(answer):
+    listener, thread = serve_once(answer)
+    with listener:
+        client = ZoneClient("http://127.0.0.1:%d" % listener.getsockname()[1])
+        with pytest.raises(TransportError):
+            client.put("/home/f", b"once")
+        thread.join(5)
+        assert not thread.is_alive()  # the client closed its socket
+        assert thread.received.count(b"PUT /data/home/f ") == 1
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):  # and opened no other
+            listener.accept()
+
+
+def test_client_reads_headers_in_any_case_and_a_body_to_close():
+    listener, thread = serve_once(b"HTTP/1.1 200 OK\r\nx-checksum: abc\r\n"
+                                  b"connection: close\r\n\r\n{\"a\": 1}")
+    with listener:
+        client = ZoneClient("http://127.0.0.1:%d" % listener.getsockname()[1])
+        response = client._request("GET", "/ping")
+        assert response.json() == {"a": 1}
+        assert response.headers["X-Checksum"] == "abc"
+        assert response.headers.get("X-CHECKSUM") == "abc"
+        thread.join(5)
+        assert not thread.is_alive()  # a closing answer closes the socket
+
+
+def test_client_sends_no_request_it_cannot_frame():
+    listener = socket.create_server(("127.0.0.1", 0))
+    with listener:
+        client = ZoneClient("http://127.0.0.1:%d" % listener.getsockname()[1])
+        with pytest.raises(ValueError):
+            client._request("GET", "/runs/x\r\nX: y")
+        client.token = "t\r\nX-Injected: 1"
+        with pytest.raises(ValueError):
+            client.ping()
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):  # not even a connection
+            listener.accept()
+
+
+def test_client_sends_an_id_as_one_path_segment(gw):
+    seen = []
+    route = gw.route
+
+    def record(method, path, query, body, headers):
+        seen.append((path, headers.get("X")))
+        return route(method, path, query, body, headers)
+
+    gw.route = record
+    client = ZoneClient(gw.url)
+    client.login(ADMIN, ADMIN_SECRET)
+    with pytest.raises(ClientError) as missing:
+        client.run_record("x\r\nX: y")
+    assert (missing.value.status, missing.value.error) == (404, "NoSuchRun")
+    assert missing.value.detail == "x\r\nX: y"  # the id, whole
+    assert seen[-1] == ("/runs/x%0D%0AX%3A%20y", None)
 
 
 @pytest.fixture
