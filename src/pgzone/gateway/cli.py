@@ -18,6 +18,7 @@ import json
 import logging
 import signal
 import sys
+import threading
 from pathlib import Path
 
 from ..common import SYSTEM
@@ -257,16 +258,22 @@ def _cmd_serve(args) -> int:
           flush=True)
     # SIGTERM (kill, docker stop, systemd) stops the zone as Ctrl-C does,
     # so that the shutdown below and the journal's fsync in close() run.
+    # Both land in this thread while the loop serves on its own, never
+    # inside a route, so shutdown() lets the requests in flight answer.
+    loop = threading.Thread(target=server.serve_forever,
+                            name="pgzone-gateway")
     previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    status = EXIT_SERVER  # unless a signal ends the loop, a fault did
     try:
-        server.serve_forever()
+        loop.start()
+        loop.join()
     except KeyboardInterrupt:
-        pass
+        status = EXIT_OK
     finally:
         signal.signal(signal.SIGTERM, previous)
         server.shutdown()
         zone.close()
-    return EXIT_OK
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,18 +1,29 @@
 """JSON-over-HTTP gateway.
 
-One ThreadingHTTPServer per zone. Every request is one lookup in the
-route table ROUTES, keyed by (method, path pattern, verb): the URL names
-the thing, a ':verb' suffix of the raw path names the action (a ':' in
-a logical name is sent as '%3A'), and the body carries either JSON or
-raw bytes (data objects and stream segments). Every response carries
+One GatewayServer per zone. Every request is one lookup in the route
+table ROUTES, keyed by (method, path pattern, verb): the URL names the
+thing, a ':verb' suffix of the raw path names the action (a ':' in a
+logical name is sent as '%3A'), and the body carries either JSON or raw
+bytes (data objects and stream segments). Every response carries
 X-Request-Id (echoed from the request when present) and JSON errors
 carry {"error": <exception name>, "detail": <text>}.
 
-A connection has a thread of its own, up to MAX_CONNECTIONS (one more is
-answered 503 and closed), and is closed once it waits IDLE_TIMEOUT for a
-request's next bytes. Its headers are read by wire.read_head, which
-refuses the framings pgzone does not speak, and each answer goes out in
-one write of status line, headers and body.
+One thread serves every connection: a selector loop (serve_forever)
+that accepts connections, reads each socket into a buffer of its own
+without blocking (a body into one of its exact length), calls route
+once a request's head and whole body are in, and writes each answer
+without blocking, as one vectored write of its head and body. It
+takes at most one request per connection per pass, so a client that
+pipelines cannot starve the others. Routes therefore run one at a
+time: a route that waits (an http_fetch, uploaded code) delays every
+connection.
+
+Up to MAX_CONNECTIONS connections are served at once (one more is
+answered 503 and closed). A request's head must arrive within
+IDLE_TIMEOUT of its first byte, and a connection that waits that long
+for its next request, or goes that long without progress while it
+sends a body or reads an answer, is closed. Heads are read a line at a
+time by wire.Head, which refuses the framings pgzone does not speak.
 
 Authentication is a Bearer token from POST /login; only /login and
 /ping are open. Uploading executable extensions (micro-services and
@@ -24,14 +35,17 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import io
 import json
 import logging
+import math
+import selectors
 import socket
 import threading
 import time
 import uuid
 from email.utils import formatdate
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..drivers import Driver
@@ -39,17 +53,26 @@ from ..errors import BadCredentials, Denied, NoSuchPath, ZoneError
 from ..zone import Zone
 from .config import GatewayConfig
 from .sessions import SessionStore
-from .wire import FramingError, Headers, read_head
+from .wire import MAX_LINE, FramingError, Head
 
 log = logging.getLogger("pgzone.gateway")
 
 MAX_BODY = 256 * 1024 * 1024
-# Connections served at once, one thread each; the next is answered 503
-# and closed.
+# Connections served at once; the next is answered 503 and closed.
 MAX_CONNECTIONS = 256
-# Seconds a connection may wait, between requests or inside a request's
-# head, for its next bytes before it is closed and frees its slot.
+# Seconds a connection may wait for its next request, take over a
+# request's head from its first byte, or go without progress while it
+# sends a body or reads an answer, before it is closed and frees its slot.
 IDLE_TIMEOUT = 60.0
+# Seconds a refused connection is still read from before it is closed,
+# and seconds shutdown() goes on sending the answers already made.
+LINGER = 1.0
+DRAIN = 5.0
+# Bytes read from a socket at a time.
+RECV_SIZE = 64 * 1024
+METHODS = ("GET", "PUT", "POST", "DELETE")
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
 
 def _as_dict(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -106,6 +129,42 @@ ROUTES = (
 OPEN_ROUTES = {("POST", "/login"), ("GET", "/ping")}
 
 
+class _Connection:
+    """One client socket: the bytes it sent that no request has taken
+    yet, the request being read from them, and the answer still to go."""
+
+    __slots__ = ("sock", "slot", "inbox", "scan", "request", "head",
+                 "length", "body", "view", "got", "outbox", "close_after",
+                 "linger", "events", "deadline")
+
+    def __init__(self, sock: socket.socket, slot: bool):
+        self.sock = sock
+        self.slot = slot  # whether it holds one of the MAX_CONNECTIONS
+        self.inbox = bytearray()
+        self.outbox: list = []  # what is left to send of the answer
+        self.close_after = False  # close once the outbox is sent,
+        self.linger = False  # after reading what the client still sends
+        self.events = selectors.EVENT_READ
+        self.deadline = math.inf
+        self.next_request()
+
+    def next_request(self) -> None:
+        """Forget the request read last; the inbox keeps what follows it."""
+        self.scan = 0  # where the head's next line starts in the inbox
+        self.request = None  # (method, target, version) once it is read,
+        self.head: Head | None = None  # the header lines after it,
+        self.length: int | None = None  # and the body length after them
+        # The body is received into a buffer of its own, of its length,
+        # whose bytes the route gets without a copy; `got` are in.
+        self.body: io.BytesIO | None = None
+        self.view: memoryview | None = None
+        self.got = 0
+
+    def whole(self) -> bool:
+        """Whether the request's head and whole body are in."""
+        return self.got == self.length
+
+
 class GatewayServer:
     def __init__(self, zone: Zone, config: GatewayConfig | None = None,
                  host: str | None = None, port: int | None = None):
@@ -118,19 +177,29 @@ class GatewayServer:
                         for method, pattern, verb, name in ROUTES}
         host = host if host is not None else self.config.bind_host
         port = port if port is not None else self.config.bind_port
-        handler = type("Handler", (Handler,), {"gateway": self})
-        self.httpd = ThreadingHTTPServer((host, port), handler)
-        self.httpd.daemon_threads = True
+        self._listener = socket.create_server((host, port))
+        self._address = self._listener.getsockname()[:2]
+        # shutdown() writes a byte to _wake_w to wake the loop at once.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.setblocking(False)
+        for sock in (self._listener, self._wake_r):
+            self._selector.register(sock, selectors.EVENT_READ)
+        self._recv = memoryview(bytearray(RECV_SIZE))  # the loop's, alone
+        self._ready: list[_Connection] = []  # each holds a whole request
+        self._served = 0  # connections that hold a slot
+        self._next_deadline = math.inf  # no connection's is earlier
         self._thread: threading.Thread | None = None
-        # Each open connection and the thread that serves it; once
-        # _closing is set, a handler takes no further request.
-        self._handlers: dict[socket.socket, threading.Thread] = {}
-        self._handlers_guard = threading.Lock()
+        # _closing ends the loop; _done is clear while the loop runs.
         self._closing = False
+        self._done = threading.Event()
+        self._done.set()
+        self._guard = threading.Lock()
 
     @property
     def address(self) -> tuple[str, int]:
-        return self.httpd.server_address[:2]
+        return self._address
 
     @property
     def url(self) -> str:
@@ -138,34 +207,344 @@ class GatewayServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "GatewayServer":
-        self._thread = threading.Thread(target=self.httpd.serve_forever,
+        """Serve on a thread of its own."""
+        self._thread = threading.Thread(target=self.serve_forever,
                                         name="pgzone-gateway", daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
-        self.httpd.serve_forever()
+        """Serve on the calling thread until shutdown()."""
+        with self._guard:
+            if self._closing:
+                return
+            self._done.clear()
+        try:
+            while not self._closing:
+                self._pass()
+            self._drain()
+        finally:
+            for conn in self._connections():
+                self._close(conn)
+            self._done.set()
 
     def shutdown(self) -> None:
-        """Stop accepting, then end every open connection: a request in
-        flight still gets its answer, and an idle one reads end of input
-        at once. Waits up to 5 s for their handlers, so that no request
-        reaches the zone after this returns."""
-        self.httpd.shutdown()
-        self.httpd.server_close()
-        with self._handlers_guard:
+        """Stop accepting, then end every open connection: an answer
+        already made still goes out (for up to DRAIN seconds), and an
+        idle connection reads end of input at once. Returns once the
+        loop has ended, so that no request reaches the zone after it."""
+        with self._guard:
             self._closing = True
-            handlers = dict(self._handlers)
-        for conn in handlers:
-            try:
-                conn.shutdown(socket.SHUT_RD)
-            except OSError:  # the peer has already gone
-                pass
-        deadline = time.monotonic() + 5
-        for thread in handlers.values():
-            thread.join(max(0.0, deadline - time.monotonic()))
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # woken already, or shut down before
+            pass
+        self._done.wait()
         if self._thread is not None:
-            self._thread.join(timeout=5)
+            self._thread.join()
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.close()
+        self._selector.close()
+
+    # -- the loop: every connection on one thread ---------------------------
+
+    def _pass(self) -> None:
+        """Close the connections past their deadline, wait until a socket
+        is ready or the next deadline, serve each ready socket once, then
+        answer one request on each connection that holds a whole one."""
+        now = time.monotonic()
+        if now >= self._next_deadline:
+            self._expire(now)
+        if self._ready:
+            timeout = 0.0
+        elif self._next_deadline == math.inf:
+            timeout = None
+        else:
+            timeout = self._next_deadline - now
+        for key, mask in self._selector.select(timeout):
+            conn = key.data
+            if conn is None:
+                if key.fileobj is self._listener:
+                    self._accept()
+                else:
+                    self._wake_r.recv(64)
+            else:
+                self._guarded(self._send if mask & selectors.EVENT_WRITE
+                              else self._receive, conn)
+        if self._closing:
+            return
+        ready, self._ready = self._ready, []
+        for conn in ready:
+            if conn.sock.fileno() >= 0:  # not closed since it was queued
+                self._guarded(self._serve, conn)
+
+    def _guarded(self, step, conn: _Connection) -> None:
+        """Take one step on conn; a fault in it closes conn alone, and
+        the loop serves on."""
+        try:
+            step(conn)
+        except Exception:
+            log.exception("connection failed")
+            if conn.sock.fileno() >= 0:
+                self._close(conn)
+
+    def _connections(self) -> list[_Connection]:
+        return [key.data for key in self._selector.get_map().values()
+                if key.data is not None]
+
+    def _deadline(self, conn: _Connection, at: float) -> None:
+        conn.deadline = at
+        self._next_deadline = min(self._next_deadline, at)
+
+    def _expire(self, now: float) -> None:
+        self._next_deadline = math.inf
+        for conn in self._connections():
+            if conn.deadline <= now:
+                self._close(conn)
+            else:
+                self._next_deadline = min(self._next_deadline, conn.deadline)
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # gone before it was accepted, or out of files
+            return
+        sock.setblocking(False)
+        # TCP_NODELAY: a large answer leaves in many segments, and on a
+        # keep-alive socket Nagle's algorithm could hold its short last
+        # one back until the client's delayed ACK (~40 ms) arrives.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Connection(sock, self._served < MAX_CONNECTIONS)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+        self._deadline(conn, time.monotonic() + IDLE_TIMEOUT)
+        if conn.slot:
+            self._served += 1
+        else:
+            self._refuse(conn, 503, "TooManyConnections", "the gateway "
+                         f"serves at most {MAX_CONNECTIONS} connections "
+                         "at once")
+
+    def _close(self, conn: _Connection) -> None:
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        if conn.slot:
+            self._served -= 1
+
+    def _watch(self, conn: _Connection, events: int) -> None:
+        if conn.events != events:
+            self._selector.modify(conn.sock, events, conn)
+            conn.events = events
+
+    def _receive(self, conn: _Connection) -> None:
+        if conn.whole():  # read on once it is answered
+            return
+        into = self._recv if conn.view is None else conn.view[conn.got:]
+        try:
+            n = conn.sock.recv_into(into)
+        except BlockingIOError:
+            return
+        except OSError:  # reset by the client
+            self._close(conn)
+            return
+        if conn.linger:  # refused: what it sends is dropped
+            if not n:
+                self._close(conn)
+        elif not n and not conn.inbox and conn.request is None:
+            self._close(conn)  # closed between two requests
+        elif not n:  # the client ended its sending half inside a request
+            self._refuse(conn, 400, "FramingError", "request head cut off"
+                         if conn.length is None else
+                         f"body ended after {conn.got} of {conn.length} "
+                         "bytes")
+        elif conn.view is not None:  # a body's progress
+            self._deadline(conn, time.monotonic() + IDLE_TIMEOUT)
+            conn.got += n
+            if conn.whole():
+                self._ready.append(conn)
+        else:
+            if not conn.inbox:  # the first byte of a request
+                self._deadline(conn, time.monotonic() + IDLE_TIMEOUT)
+            conn.inbox += self._recv[:n]
+            self._advance(conn)
+
+    def _advance(self, conn: _Connection) -> None:
+        """Read as much of conn's request as its inbox holds: queue the
+        request once it is whole, refuse it if it cannot be read."""
+        try:
+            if not self._read_head(conn):
+                return
+        except FramingError as e:
+            self._refuse(conn, e.status, "FramingError", str(e))
+            return
+        if conn.length:
+            self._open_body(conn)
+        if conn.whole():
+            self._ready.append(conn)
+        elif conn.request[2] == "HTTP/1.1" and \
+                conn.head.headers.get("Expect", "").lower() == "100-continue":
+            conn.outbox.append(_CONTINUE)
+            self._send(conn)
+
+    def _open_body(self, conn: _Connection) -> None:
+        """Give conn's body its buffer, and move into it what the inbox
+        holds of the body."""
+        conn.body = io.BytesIO()
+        conn.body.seek(conn.length - 1)
+        conn.body.write(b"\0")  # sized once, never grown
+        conn.view = conn.body.getbuffer()
+        end = min(conn.scan + conn.length, len(conn.inbox))
+        with memoryview(conn.inbox) as inbox:
+            conn.view[:end - conn.scan] = inbox[conn.scan:end]
+        conn.got = end - conn.scan
+        del conn.inbox[:end]
+        conn.scan = 0
+
+    def _read_head(self, conn: _Connection) -> bool:
+        """Take the lines of conn's head that have arrived; True once the
+        blank line that ends it has."""
+        inbox = conn.inbox
+        while True:
+            end = inbox.find(b"\n", conn.scan)
+            if end < 0:
+                if len(inbox) - conn.scan > MAX_LINE:
+                    raise FramingError("request line too long", 414) \
+                        if conn.request is None else \
+                        FramingError("header line too long", 431)
+                return False
+            line = inbox[conn.scan:end + 1]
+            conn.scan = end + 1
+            if conn.request is None:
+                conn.request, conn.head = _request_line(line), Head()
+            elif conn.head.take(line):
+                break
+        method = conn.request[0]
+        if method not in METHODS:
+            raise FramingError(f"Unsupported method ({method!r})", 501)
+        length = conn.head.length() or 0
+        if length > MAX_BODY:
+            raise FramingError(f"Content-Length must be 0..{MAX_BODY}, "
+                               f"got {length}")
+        conn.length = length
+        return True
+
+    def _serve(self, conn: _Connection) -> None:
+        """Answer the whole request at the front of conn's inbox."""
+        method, target, version = conn.request
+        headers = conn.head.headers
+        del conn.inbox[:conn.scan]
+        body = b""
+        if conn.body is not None:
+            conn.view.release()  # so that getvalue() makes no copy
+            body = conn.body.getvalue()
+        connection = headers.get("Connection", "").lower()
+        conn.close_after = connection == "close" or (
+            version == "HTTP/1.0" and connection != "keep-alive")
+        try:
+            parts = urlsplit(target)
+            payload = self.route(method, parts.path, parse_qs(parts.query),
+                                 body, headers)
+            if isinstance(payload, tuple):
+                data, extra = payload
+                self._answer(conn, 200, data, "application/octet-stream",
+                             extra)
+            else:
+                self._answer(conn, 200, json.dumps(payload).encode("utf-8"),
+                             "application/json")
+        except Exception as e:  # every failure maps to a JSON error
+            if isinstance(e, ZoneError):
+                status = e.http_status
+            else:
+                status = 400 if isinstance(e, ValueError) else 500
+            if status >= 500:
+                log.exception("request failed: %s %s", method, target)
+            self._error(conn, status, type(e).__name__, str(e))
+        conn.next_request()
+        self._send(conn)
+
+    def _refuse(self, conn: _Connection, status: int, name: str,
+                detail: str) -> None:
+        """Answer a request that cannot be served and close conn after
+        reading what its client sends for up to LINGER seconds more: a
+        socket closed with a request unread is reset, and the reset can
+        drop the answer before the client reads it."""
+        conn.inbox.clear()
+        conn.close_after = conn.linger = True
+        self._error(conn, status, name, detail)
+        conn.next_request()
+        self._send(conn)
+
+    def _error(self, conn: _Connection, status: int, name: str,
+               detail: str) -> None:
+        data = json.dumps({"error": name, "detail": detail}).encode("utf-8")
+        self._answer(conn, status, data, "application/json")
+
+    def _answer(self, conn: _Connection, status: int, data: bytes,
+                content_type: str, extra: dict | None = None) -> None:
+        """Queue an answer on conn: its head, then data as it is."""
+        headers = conn.head.headers if conn.head else {}
+        lines = [f"HTTP/1.1 {status} {_PHRASES[status]}",
+                 "Server: pgzone-gateway",
+                 f"Date: {_http_date(int(time.time()))}",
+                 f"Content-Type: {content_type}",
+                 f"Content-Length: {len(data)}",
+                 "X-Request-Id: " + (headers.get("X-Request-Id")
+                                     or uuid.uuid4().hex)]
+        lines += [f"{key}: {value}" for key, value in (extra or {}).items()]
+        if conn.close_after:
+            lines.append("Connection: close")
+        log.debug("%s %s", status, conn.request and conn.request[1])
+        conn.outbox += [("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"),
+                        data]
+
+    def _send(self, conn: _Connection) -> None:
+        """Send as much of conn's outbox as its socket takes now, in one
+        vectored write; once it is all sent, go on with the connection."""
+        outbox = conn.outbox
+        try:
+            sent = conn.sock.sendmsg(outbox)
+        except BlockingIOError:
+            sent = 0
+        except OSError:  # the client has gone
+            self._close(conn)
+            return
+        while outbox and sent >= len(outbox[0]):
+            sent -= len(outbox.pop(0))
+        if sent:
+            outbox[0] = memoryview(outbox[0])[sent:]
+        if outbox:
+            if sent:
+                self._deadline(conn, time.monotonic() + IDLE_TIMEOUT)
+            self._watch(conn, selectors.EVENT_WRITE)
+            return
+        self._watch(conn, selectors.EVENT_READ)
+        if conn.close_after and not conn.linger:
+            self._close(conn)
+        elif conn.close_after:
+            try:
+                conn.sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                self._close(conn)
+                return
+            self._deadline(conn, time.monotonic() + LINGER)
+        else:  # wait for the body or the next request
+            self._deadline(conn, time.monotonic() + IDLE_TIMEOUT)
+            if conn.request is None and conn.inbox:  # sent before the answer
+                self._advance(conn)
+
+    def _drain(self) -> None:
+        """Stop accepting and reading; send the answers already made for
+        up to DRAIN seconds, then close."""
+        self._selector.unregister(self._listener)
+        self._selector.unregister(self._wake_r)
+        for conn in self._connections():
+            if conn.outbox and not conn.linger:
+                conn.close_after = True
+            else:
+                self._close(conn)
+        end = time.monotonic() + DRAIN
+        while self._selector.get_map() and time.monotonic() < end:
+            for key, _ in self._selector.select(end - time.monotonic()):
+                self._send(key.data)
 
     # -- routing: one lookup in ROUTES -------------------------------------
 
@@ -458,155 +837,14 @@ def _http_date(second: int) -> str:
     return formatdate(second, usegmt=True)
 
 
-class Handler(BaseHTTPRequestHandler):
-    """Serves one connection for `gateway`, set on a subclass per server:
-    reads each request (parse_request, _read_body), hands it to
-    gateway.route (_handle) and writes the answer (_respond)."""
-
-    gateway: GatewayServer
-    protocol_version = "HTTP/1.1"
-    server_version = "pgzone-gateway"
-    # TCP_NODELAY: a large answer leaves in many segments, and on a
-    # keep-alive socket Nagle's algorithm could hold its short last one
-    # back until the client's delayed ACK (~40 ms) arrives.
-    disable_nagle_algorithm = True
-
-    def log_message(self, fmt, *args):
-        log.debug("%s " + fmt, self.address_string(), *args)
-
-    def setup(self):
-        super().setup()
-        with self.gateway._handlers_guard:
-            handlers = self.gateway._handlers
-            self._refused = len(handlers) >= MAX_CONNECTIONS
-            if not self._refused:
-                handlers[self.connection] = threading.current_thread()
-
-    def finish(self):
-        with self.gateway._handlers_guard:
-            self.gateway._handlers.pop(self.connection, None)
-        super().finish()
-
-    def handle(self):
-        self.headers = Headers()  # until a request's own are read
-        if self._refused:
-            self.requestline, self.close_connection = "", True
-            self._error(503, "TooManyConnections", "the gateway serves at "
-                        f"most {MAX_CONNECTIONS} connections at once")
-            self._linger()
-            return
-        # BaseHTTPRequestHandler.handle, which stops at shutdown too. Its
-        # TimeoutError ends the connection; parse_request lifts the
-        # timeout once a request's head is read.
-        self.close_connection = False
-        while not (self.close_connection or self.gateway._closing):
-            self.connection.settimeout(IDLE_TIMEOUT)
-            self.handle_one_request()
-            self.headers = Headers()
-
-    def _linger(self) -> None:
-        """Read what the client sends until it closes, for about a second:
-        a socket closed with a request unread is reset, and the reset can
-        drop the answer before the client reads it."""
-        deadline = time.monotonic() + 1
-        try:
-            self.connection.shutdown(socket.SHUT_WR)
-            self.connection.settimeout(1)
-            while self.connection.recv(65536) and \
-                    time.monotonic() < deadline:
-                pass
-        except OSError:  # reset or timed out: nothing more to wait for
-            pass
-
-    def parse_request(self) -> bool:
-        """Parse the request line handle_one_request read, then read the
-        headers; False once a refusal has been sent."""
-        self.command, self.close_connection = None, True
-        self.requestline = str(self.raw_requestline, "latin-1").rstrip("\r\n")
-        words = self.requestline.split()
-        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
-            self.send_error(400, f"bad request line {self.requestline!r}")
-            return False
-        self.command, self.path, self.request_version = words
-        try:
-            self.headers, self._length = read_head(self.rfile)
-        except FramingError as e:
-            self.send_error(e.status, str(e))
-            return False
-        self.connection.settimeout(None)
-        connection = self.headers.get("Connection", "").lower()
-        self.close_connection = connection == "close" or (
-            self.request_version == "HTTP/1.0" and connection != "keep-alive")
-        if self.request_version == "HTTP/1.1" and \
-                self.headers.get("Expect", "").lower() == "100-continue":
-            return self.handle_expect_100()
-        return True
-
-    def _read_body(self) -> bytes:
-        length = self._length or 0
-        if length > MAX_BODY:
-            # The body stays unread, so the connection cannot carry
-            # another request.
-            self.close_connection = True
-            raise ValueError(f"Content-Length must be 0..{MAX_BODY}, "
-                             f"got {length}")
-        body = self.rfile.read(length) if length else b""
-        if len(body) != length:  # the peer or a shutdown ended it
-            self.close_connection = True
-            raise ValueError(f"body ended after {len(body)} of {length} bytes")
-        return body
-
-    def _handle(self) -> None:
-        try:
-            parts = urlsplit(self.path)
-            body = self._read_body()
-            payload = self.gateway.route(self.command, parts.path,
-                                         parse_qs(parts.query), body,
-                                         self.headers)
-            if isinstance(payload, tuple):
-                data, extra = payload
-                self._respond(200, data, "application/octet-stream", extra)
-            else:
-                self._respond(200, json.dumps(payload).encode("utf-8"),
-                              "application/json")
-        except Exception as e:  # every failure maps to a JSON error
-            if isinstance(e, ZoneError):
-                status = e.http_status
-            else:
-                status = 400 if isinstance(e, ValueError) else 500
-            if status >= 500:
-                log.exception("request failed: %s %s", self.command,
-                              self.path)
-            self._error(status, type(e).__name__, str(e))
-
-    do_GET = do_PUT = do_POST = do_DELETE = _handle
-
-    def send_error(self, code, message=None, explain=None):
-        """Refuse a request that cannot be read, and close: http.server's
-        own refusals (414, 501 for a method) and the reader's."""
-        self.close_connection = True
-        self._error(code, "FramingError", message or self.responses[code][0])
-        self._linger()
-
-    def _error(self, status: int, name: str, detail: str) -> None:
-        data = json.dumps({"error": name, "detail": detail}).encode("utf-8")
-        try:
-            self._respond(status, data, "application/json")
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def _respond(self, status: int, data: bytes, content_type: str,
-                 extra: dict | None = None) -> None:
-        self.log_request(status, len(data))
-        lines = [f"HTTP/1.1 {status} {self.responses[status][0]}",
-                 f"Server: {self.version_string()}",
-                 f"Date: {_http_date(int(time.time()))}",
-                 f"Content-Type: {content_type}",
-                 f"Content-Length: {len(data)}",
-                 "X-Request-Id: " + (self.headers.get("X-Request-Id")
-                                     or uuid.uuid4().hex)]
-        lines += [f"{key}: {value}" for key, value in (extra or {}).items()]
-        if self.close_connection:
-            lines.append("Connection: close")
-        self.wfile.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-                         + data)
+def _request_line(line: bytes) -> tuple[str, str, str]:
+    """The method, target and version of a request line with its CRLF."""
+    if len(line) > MAX_LINE:
+        raise FramingError("request line too long", 414)
+    if not line.endswith(b"\r\n"):
+        raise FramingError("request line not ended by CRLF")
+    text = line[:-2].decode("latin-1")
+    words = text.split()
+    if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+        raise FramingError(f"bad request line {text!r}")
+    return words[0], words[1], words[2]

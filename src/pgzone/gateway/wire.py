@@ -6,6 +6,9 @@ a message ends is refused (RFC 9112 §6.3): any Transfer-Encoding (501),
 and with 400 a line not ended by CRLF, a folded line, a line with no
 colon, and a repeated or non-numeric Content-Length. A repeated field
 joins its values with ", " (RFC 9110 §5.3), which catches the last.
+
+Head takes the lines one at a time, so the gateway can feed it each line
+as it arrives; read_head feeds it from a file.
 """
 
 from __future__ import annotations
@@ -42,28 +45,47 @@ class Headers(dict):
         return super().get(name.lower(), default)
 
 
-def read_head(rfile) -> tuple[Headers, int | None]:
-    """The header lines read from rfile up to the blank line, and the
-    body length they declare (None when they declare none)."""
-    headers = Headers()
-    for _ in range(MAX_HEADERS + 1):
-        line = rfile.readline(MAX_LINE + 1)
+class Head:
+    """The header lines of one message, taken up to the blank line."""
+
+    def __init__(self) -> None:
+        self.headers = Headers()
+        self.fields = 0
+
+    def take(self, line: bytes | bytearray) -> bool:
+        """Take one line with its line end; True if it is the blank line
+        that ends the head."""
         if line == b"\r\n":
-            break
+            return True
         if len(line) > MAX_LINE:
             raise FramingError("header line too long", 431)
         field = _FIELD.fullmatch(line.decode("latin-1"))
         if field is None:
-            raise FramingError(f"malformed header line {line[:80]!r}")
+            raise FramingError(f"malformed header line {bytes(line[:80])!r}")
+        self.fields += 1
+        if self.fields > MAX_HEADERS:
+            raise FramingError(f"more than {MAX_HEADERS} header lines", 431)
         name, value = field[1].lower(), field[2].strip(" \t")
-        headers[name] = f"{headers[name]}, {value}" if name in headers \
-            else value
-    else:
-        raise FramingError(f"more than {MAX_HEADERS} header lines", 431)
-    if "transfer-encoding" in headers:
-        raise FramingError("Transfer-Encoding is not supported", 501)
-    length = headers.get("content-length")
-    if length is not None and not (
-            length.isascii() and length.isdigit() and len(length) <= 18):
-        raise FramingError(f"bad Content-Length {length!r}")
-    return headers, None if length is None else int(length)
+        before = dict.get(self.headers, name)  # name is lower case already
+        self.headers[name] = value if before is None else f"{before}, {value}"
+        return False
+
+    def length(self) -> int | None:
+        """The body length the whole head declares (None when it declares
+        none)."""
+        if "transfer-encoding" in self.headers:
+            raise FramingError("Transfer-Encoding is not supported", 501)
+        length = self.headers.get("content-length")
+        if length is not None and not (
+                length.isascii() and length.isdigit() and len(length) <= 18):
+            raise FramingError(f"bad Content-Length {length!r}")
+        return None if length is None else int(length)
+
+
+def read_head(rfile) -> tuple[Headers, int | None]:
+    """The header lines read from rfile up to the blank line, and the
+    body length they declare (None when they declare none)."""
+    head = Head()
+    while not head.take(rfile.readline(MAX_LINE + 1)):
+        pass
+    return head.headers, head.length()

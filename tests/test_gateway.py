@@ -5,6 +5,7 @@ import hashlib
 import http.client
 import json
 import os
+import select
 import shlex
 import shutil
 import socket
@@ -21,7 +22,8 @@ import pytest
 from pgzone import errors
 from pgzone.gateway import server as server_module
 from pgzone.gateway.cli import build_parser, main
-from pgzone.gateway.client import ClientError, TransportError, ZoneClient
+from pgzone.gateway.client import (ClientError, TransportError, ZoneClient,
+                                   _read_response)
 from pgzone.gateway.config import GatewayConfig
 from pgzone.gateway.server import MAX_BODY, GatewayServer
 from pgzone.gateway.sessions import SessionStore
@@ -219,10 +221,44 @@ LOGIN = json.dumps({"user": ADMIN, "secret": ADMIN_SECRET}).encode()
                  id="connection-close"),
     pytest.param(b"GET /ping HTTP/1.0\r\n\r\n", False, 200, False,
                  id="http-1.0"),
+    pytest.param(b"GET /ping HTTP/1.1\nHost: x\r\n\r\n", False, 400, False,
+                 id="bare-lf-request-line"),
+    # Refused while it still sends 16 MiB of the body: the client reads
+    # the 400 rather than a reset.
+    pytest.param(b"PUT /data/home/f HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                 b"%d\r\n\r\n%s" % (MAX_BODY + 1, b"x" * (16 << 20)),
+                 False, 400, False, id="body-over-max"),
 ])
 def test_hostile_request_table(gw, raw, end, status, stays_open):
     assert exchange(gw.address, raw, end) == (status, stays_open)
     assert ZoneClient(gw.url).ping()["zone"]  # the gateway still serves
+
+
+def test_pipelined_requests_are_answered_once_each_in_order(gw):
+    """Requests sent back to back on one socket, among them a body split
+    across two sends, get one answer each, in the order sent."""
+    token = gw.sessions.login(ADMIN, ADMIN_SECRET).token
+    put = b"PUT /data/home/p HTTP/1.1\r\nAuthorization: Bearer %s\r\n" \
+        b"Content-Length: 6\r\n\r\n" % token.encode()
+    with socket.create_connection(gw.address, timeout=3) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(PING + b"\r\n" + put + b"abc")
+        time.sleep(0.1)
+        sock.sendall(b"def" + PING + b"X-Request-Id: last\r\n\r\n")
+        answers = [_read_response(rfile)[0] for _ in range(3)]
+    assert [a.status for a in answers] == [200, 200, 200]
+    assert answers[1].json()["size"] == 6
+    assert answers[2].headers["X-Request-Id"] == "last"
+    assert gw.zone.engine.get(ADMIN, "/home/p") == b"abcdef"
+
+
+def test_expect_100_continue_is_answered_before_the_body(gw):
+    with socket.create_connection(gw.address, timeout=3) as sock:
+        sock.sendall(b"POST /login HTTP/1.1\r\nExpect: 100-continue\r\n"
+                     b"Content-Length: %d\r\n\r\n" % len(LOGIN))
+        assert sock.recv(64) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(LOGIN)
+        assert read_answer(sock)[0] == 200
 
 
 def test_route_finds_headers_in_any_case(gw):
@@ -256,7 +292,7 @@ def test_connections_past_the_cap_are_refused(gw, monkeypatch):
         assert (refused.value.status, refused.value.error) == (
             503, "TooManyConnections")
         assert client._conn.sock is None  # and closed
-        assert len(gw._handlers) == 2
+        assert gw._served == 2  # the refused one held no slot
         for sock in socks:
             sock.sendall(PING + b"\r\n")
             assert read_answer(sock)[0] == 200
@@ -275,6 +311,111 @@ def test_idle_connections_are_closed_and_free_their_slot(gw, monkeypatch):
     with socket.create_connection(gw.address, timeout=3) as sock:
         sock.sendall(PING + b"\r\n")  # the slot is free again
         assert read_answer(sock)[0] == 200
+
+
+def short_deadlines(monkeypatch) -> None:
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 1)
+    monkeypatch.setattr(server_module, "IDLE_TIMEOUT", 0.5)
+
+
+def trickle(sock, data: bytes) -> float:
+    """Send data a byte every 0.1 s until it is all sent or the server
+    closes sock; the seconds that took."""
+    start = time.monotonic()
+    for byte in data:
+        if select.select([sock], [], [], 0.1)[0]:
+            break
+        sock.send(bytes([byte]))
+    return time.monotonic() - start
+
+
+def closed_by_server(sock) -> bool:
+    """Whether sock reads end of input (or a reset) within its timeout,
+    and nothing else."""
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+def slot_frees_after(gw) -> float:
+    """Seconds until a ping on a new connection is answered 200 rather
+    than refused 503."""
+    start = time.monotonic()
+    while time.monotonic() - start < 5:
+        with socket.create_connection(gw.address, timeout=3) as sock:
+            sock.sendall(PING + b"Connection: close\r\n\r\n")
+            if read_answer(sock)[0] == 200:
+                return time.monotonic() - start
+        time.sleep(0.05)
+    pytest.fail("the slot was never freed")
+
+
+BIG = b"x" * (4 << 20)
+
+
+def get_big(gw) -> bytes:
+    """A GET of /home/big, which holds BIG, with an admin token."""
+    gw.zone.engine.put(ADMIN, "/home/big", BIG)
+    token = gw.sessions.login(ADMIN, ADMIN_SECRET).token
+    return b"GET /data/home/big HTTP/1.1\r\nHost: x\r\n" \
+        b"Authorization: Bearer %s\r\n\r\n" % token.encode()
+
+
+def test_a_trickled_head_loses_its_slot(gw, monkeypatch):
+    """A head must arrive within IDLE_TIMEOUT of its first byte, however
+    steadily its bytes come."""
+    short_deadlines(monkeypatch)
+    with socket.create_connection(gw.address, timeout=3) as sock:
+        took = trickle(sock, PING + b"X-Slow: " + b"a" * 50)
+        assert closed_by_server(sock)
+    assert 0.4 < took < 1.5
+    assert slot_frees_after(gw) < 0.5
+
+
+def test_a_body_upload_that_stalls_loses_its_slot(gw, monkeypatch):
+    """A body keeps its connection while it makes progress, for longer
+    than IDLE_TIMEOUT, and loses it once it stalls for that long."""
+    short_deadlines(monkeypatch)
+    token = gw.sessions.login(ADMIN, ADMIN_SECRET).token
+    with socket.create_connection(gw.address, timeout=3) as sock:
+        sock.sendall(b"PUT /data/home/slow HTTP/1.1\r\nHost: x\r\n"
+                     b"Authorization: Bearer %s\r\nContent-Length: 100"
+                     b"\r\n\r\n" % token.encode())
+        assert trickle(sock, b"y" * 10) > 0.9  # all sent, still open
+        start = time.monotonic()
+        assert closed_by_server(sock)
+        stalled = time.monotonic() - start
+    assert 0.4 < stalled < 1.5
+    assert slot_frees_after(gw) < 0.5
+    assert not gw.zone.catalog.path_exists("/home/slow")
+
+
+def test_an_answer_left_unread_loses_its_slot(gw, monkeypatch):
+    request = get_big(gw)
+    short_deadlines(monkeypatch)
+    with socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(gw.address)
+        sock.sendall(request)  # and never reads the answer
+        assert 0.4 < slot_frees_after(gw) < 1.5
+
+
+@pytest.mark.parametrize("stall", ["mid-head", "mid-body", "unread-answer"])
+def test_a_stalled_client_does_not_delay_a_ping(gw, stall):
+    request = {
+        "mid-head": PING + b"X-Cut-Off: ",
+        "mid-body": b"POST /login HTTP/1.1\r\nContent-Length: 100\r\n\r\n{",
+        "unread-answer": get_big(gw),
+    }[stall]
+    with socket.socket() as stalled, ZoneClient(gw.url) as client:
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stalled.connect(gw.address)
+        stalled.sendall(request)
+        time.sleep(0.2)  # the server has taken what it can
+        start = time.monotonic()
+        assert client.ping()["zone"]
+        assert time.monotonic() - start < 0.5
 
 
 def serve_once(answer: bytes):
@@ -462,14 +603,49 @@ def tls_gw(tmp_path, no_proxy_env):
     context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
     context.load_cert_chain(tmp_path / "leaf.pem", tmp_path / "leaf.key")
     zone = make_zone()
-    server = GatewayServer(zone, host="127.0.0.1", port=0)
-    server.httpd.socket = context.wrap_socket(server.httpd.socket,
-                                              server_side=True)
-    server.start()
-    host, port = server.address
+    server = GatewayServer(zone, host="127.0.0.1", port=0).start()
+    listener = context.wrap_socket(socket.create_server(("127.0.0.1", 0)),
+                                   server_side=True)
+    stop, relays = threading.Event(), []
+
+    def accept():
+        # Each TLS connection is relayed, decrypted, to the gateway.
+        while not stop.is_set():
+            try:
+                tls, _ = listener.accept()
+            except OSError:  # the client refused the certificate, or stop
+                continue
+            plain = socket.create_connection(server.address)
+            relays.append(threading.Thread(target=relay, args=(tls, plain)))
+            relays[-1].start()
+
+    acceptor = threading.Thread(target=accept)
+    acceptor.start()
+    host, port = listener.getsockname()
     yield f"https://{host}:{port}", tmp_path / "ca.pem"
-    server.shutdown()
+    server.shutdown()  # which ends each relay
+    stop.set()
+    listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+    listener.close()
+    for thread in [acceptor, *relays]:
+        thread.join(10)
     zone.close()
+
+
+def relay(a, b):
+    """Copy bytes both ways between sockets a and b until either ends."""
+    with a, b:
+        try:
+            while True:
+                ready = [a] if a.pending() else \
+                    select.select([a, b], [], [])[0]
+                for src in ready:
+                    data = src.recv(65536)
+                    if not data:
+                        return
+                    (b if src is a else a).sendall(data)
+        except OSError:
+            return
 
 
 def test_https_verifies_the_server_certificate(tls_gw, tmp_path,
@@ -489,22 +665,19 @@ def test_server_closed_idle_connection_is_replaced(gw, admin_client,
                                                     monkeypatch):
     """The server hangs up after each answer, with no "Connection: close"
     to warn of it; each next call notices and opens a fresh socket."""
-    handler = gw.httpd.RequestHandlerClass
-    respond = handler._respond
+    answer, close = gw._answer, gw._close
     hung_up = threading.Event()
 
-    def respond_then_hang_up(self, *args):
-        respond(self, *args)
-        self.close_connection = True
+    def answer_then_hang_up(conn, *args):
+        answer(conn, *args)
+        conn.close_after = True
 
-    shutdown_request = gw.httpd.shutdown_request
-
-    def close_and_tell(request):
-        shutdown_request(request)
+    def close_and_tell(conn):
+        close(conn)
         hung_up.set()
 
-    monkeypatch.setattr(handler, "_respond", respond_then_hang_up)
-    monkeypatch.setattr(gw.httpd, "shutdown_request", close_and_tell)
+    monkeypatch.setattr(gw, "_answer", answer_then_hang_up)
+    monkeypatch.setattr(gw, "_close", close_and_tell)
     for call in (admin_client.ping,
                  lambda: admin_client.put("/home/f", b"abc"),
                  lambda: admin_client.get("/home/f"),
@@ -519,12 +692,10 @@ def test_put_cut_off_after_sending_is_not_resent(gw, admin_client,
                                                  monkeypatch):
     """A connection that dies after the server took a PUT raises
     TransportError; the PUT is not sent again, so one version is made."""
-    handler = gw.httpd.RequestHandlerClass
+    def hang_up(conn, *args):
+        conn.close_after = True  # the answer is never sent
 
-    def hang_up(self, *args):
-        self.close_connection = True  # the answer is never sent
-
-    monkeypatch.setattr(handler, "_respond", hang_up)
+    monkeypatch.setattr(gw, "_answer", hang_up)
     with pytest.raises(TransportError):
         admin_client.put("/home/f", b"once")
     monkeypatch.undo()
@@ -555,8 +726,8 @@ def test_threads_share_one_client(gw, admin_client):
 
 def test_shutdown_ends_keepalive_connections(tmp_path):
     """A client that connected before the shutdown is not served after
-    it: its next call fails, nothing more is journaled, and the handler
-    thread that served it has ended."""
+    it: its next call fails, nothing more is journaled, and the one
+    thread that served every connection has ended."""
     zone = make_zone(journal_dir=tmp_path / "journal")
     before = set(threading.enumerate())
     gw = GatewayServer(zone, host="127.0.0.1", port=free_port()).start()
@@ -564,7 +735,7 @@ def test_shutdown_ends_keepalive_connections(tmp_path):
     client.login(ADMIN, ADMIN_SECRET)
     client.put("/home/g", b"before")
     served_by = set(threading.enumerate()) - before  # the server's threads
-    assert len(served_by) >= 2
+    assert len(served_by) == 1
     gw.shutdown()
     assert not any(t.is_alive() for t in served_by)
     journaled = len(zone.catalog.records())
