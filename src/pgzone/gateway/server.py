@@ -10,13 +10,15 @@ carry {"error": <exception name>, "detail": <text>}.
 
 One thread serves every connection: a selector loop (serve_forever)
 that accepts connections, reads each socket into a buffer of its own
-without blocking (a body into one of its exact length), calls route
-once a request's head and whole body are in, and writes each answer
-without blocking, as one vectored write of its head and body. It
-takes at most one request per connection per pass, so a client that
-pipelines cannot starve the others. Routes therefore run one at a
-time: a route that waits (an http_fetch, uploaded code) delays every
-connection.
+without blocking (a body into one that grows with what arrives), calls
+route once a request's head and whole body are in, and writes each
+answer without blocking, as one vectored write of its head and body.
+It takes at most one request per connection per pass, so a client
+that pipelines cannot starve the others. Routes run on the loop's
+thread, one at a time, except that a route still running after
+HANDOFF seconds (an http_fetch, uploaded code that waits, a long
+query) keeps that thread: the loop moves on to a new one, and the
+route's answer is sent once it ends.
 
 Up to MAX_CONNECTIONS connections are served at once (one more is
 answered 503 and closed). A request's head must arrive within
@@ -33,6 +35,7 @@ that code runs inside the server process.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import io
@@ -68,8 +71,12 @@ IDLE_TIMEOUT = 60.0
 # and seconds shutdown() goes on sending the answers already made.
 LINGER = 1.0
 DRAIN = 5.0
-# Bytes read from a socket at a time.
+# Bytes read from a socket at a time, and the least a body buffer holds.
 RECV_SIZE = 64 * 1024
+# Seconds a route may hold the loop's thread before the loop moves on to
+# a new thread; a route that waits delays the others by up to twice that
+# (an http_fetch not at all: the loop moves on as it starts).
+HANDOFF = 0.01
 METHODS = ("GET", "PUT", "POST", "DELETE")
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
@@ -134,8 +141,8 @@ class _Connection:
     yet, the request being read from them, and the answer still to go."""
 
     __slots__ = ("sock", "slot", "inbox", "scan", "request", "head",
-                 "length", "body", "view", "got", "outbox", "close_after",
-                 "linger", "events", "deadline")
+                 "length", "body", "view", "got", "outcome", "outbox",
+                 "close_after", "linger", "events", "deadline")
 
     def __init__(self, sock: socket.socket, slot: bool):
         self.sock = sock
@@ -154,11 +161,13 @@ class _Connection:
         self.request = None  # (method, target, version) once it is read,
         self.head: Head | None = None  # the header lines after it,
         self.length: int | None = None  # and the body length after them
-        # The body is received into a buffer of its own, of its length,
-        # whose bytes the route gets without a copy; `got` are in.
+        # The body is received into a buffer of its own, which grows
+        # with what arrives and whose bytes the route gets without a
+        # copy; `got` are in.
         self.body: io.BytesIO | None = None
         self.view: memoryview | None = None
         self.got = 0
+        self.outcome = None  # what route returned or raised
 
     def whole(self) -> bool:
         """Whether the request's head and whole body are in."""
@@ -175,6 +184,14 @@ class GatewayServer:
         self.catalog = zone.catalog
         self._routes = {(method, pattern, verb): getattr(self, name)
                         for method, pattern, verb, name in ROUTES}
+        # A fetch waits on the network: the loop moves on without the
+        # thread that makes it as it starts, not HANDOFF later.
+        opener = zone.engine.url_opener
+
+        def url_opener(*args, **kwargs):
+            self._before_wait()
+            return opener(*args, **kwargs)
+        zone.engine.url_opener = url_opener
         host = host if host is not None else self.config.bind_host
         port = port if port is not None else self.config.bind_port
         self._listener = socket.create_server((host, port))
@@ -187,10 +204,21 @@ class GatewayServer:
         for sock in (self._listener, self._wake_r):
             self._selector.register(sock, selectors.EVENT_READ)
         self._recv = memoryview(bytearray(RECV_SIZE))  # the loop's, alone
-        self._ready: list[_Connection] = []  # each holds a whole request
+        self._ready: collections.deque[_Connection] = collections.deque()
         self._served = 0  # connections that hold a slot
         self._next_deadline = math.inf  # no connection's is earlier
-        self._thread: threading.Thread | None = None
+        # The threads started here: start()'s, the watcher, and the ones
+        # the loop moved to.
+        self._threads: list[threading.Thread] = []
+        # The thread that runs the loop, and the claim of the route it
+        # runs: [conn] until the route ends or the loop moves on without
+        # it, whichever pops conn first (_serve, _leave_route).
+        self._leader: int | None = None
+        self._routing: list[_Connection] = []
+        # Under _guard: the routes that ran past HANDOFF on a thread the
+        # loop has left (_away), and those of them that have ended.
+        self._away = 0
+        self._posted: list[_Connection] = []
         # _closing ends the loop; _done is clear while the loop runs.
         self._closing = False
         self._done = threading.Event()
@@ -208,50 +236,111 @@ class GatewayServer:
 
     def start(self) -> "GatewayServer":
         """Serve on a thread of its own."""
-        self._thread = threading.Thread(target=self.serve_forever,
-                                        name="pgzone-gateway", daemon=True)
-        self._thread.start()
+        with self._guard:
+            self._spawn(self.serve_forever, "pgzone-gateway")
         return self
 
+    def _spawn(self, target, name: str, *args) -> None:
+        """Start a thread that shutdown() joins. The caller holds _guard."""
+        thread = threading.Thread(target=target, name=name, args=args,
+                                  daemon=True)
+        self._threads = [t for t in self._threads if t.is_alive()]
+        self._threads.append(thread)
+        thread.start()
+
     def serve_forever(self) -> None:
-        """Serve on the calling thread until shutdown()."""
+        """Serve on the calling thread until shutdown(). The loop leaves
+        this thread to a route that runs past HANDOFF, and goes on on a
+        new one; this call returns once the loop has ended."""
         with self._guard:
             if self._closing:
                 return
             self._done.clear()
-        try:
-            while not self._closing:
-                self._pass()
-            self._drain()
-        finally:
-            for conn in self._connections():
-                self._close(conn)
-            self._done.set()
+            self._spawn(self._watch_routes, "pgzone-gateway-watch")
+        self._lead()
+        self._done.wait()
 
     def shutdown(self) -> None:
-        """Stop accepting, then end every open connection: an answer
-        already made still goes out (for up to DRAIN seconds), and an
-        idle connection reads end of input at once. Returns once the
-        loop has ended, so that no request reaches the zone after it."""
+        """Stop accepting, then end every open connection: a request in
+        flight is still answered, an answer already made still goes out
+        (for up to DRAIN seconds), and an idle connection reads end of
+        input at once. Returns once the loop has ended, so that no
+        request reaches the zone after it."""
         with self._guard:
             self._closing = True
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:  # woken already, or shut down before
-            pass
+        self._wake()
         self._done.wait()
-        if self._thread is not None:
-            self._thread.join()
+        for thread in self._threads:
+            thread.join()
         for sock in (self._listener, self._wake_r, self._wake_w):
             sock.close()
         self._selector.close()
 
+    def _wake(self) -> None:
+        """Make the loop's wait end at once."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # woken already, or shut down before
+            pass
+
     # -- the loop: every connection on one thread ---------------------------
 
-    def _pass(self) -> None:
+    def _lead(self) -> None:
+        """Run the loop on this thread until shutdown(), or until a
+        route on it runs past HANDOFF and the loop moves on without it."""
+        self._leader = threading.get_ident()
+        left = False
+        try:
+            while not self._closing and not left:
+                left = self._pass()
+            if not left:
+                self._drain()
+        finally:
+            if not left:
+                for conn in self._connections():
+                    self._close(conn)
+                self._done.set()
+
+    def _watch_routes(self) -> None:
+        """Every HANDOFF seconds while the loop runs, look at the route
+        its thread runs; if it is the one seen at the last look, leave
+        that thread to it and go on with the loop on a new thread."""
+        seen = None
+        while not self._done.wait(HANDOFF):
+            claim = self._routing
+            if claim is seen:
+                self._leave_route(claim)
+            seen = claim
+
+    def _before_wait(self) -> None:
+        """Called before a route waits: if it runs on the loop's thread,
+        the loop moves on without it."""
+        if threading.get_ident() == self._leader:
+            self._leave_route(self._routing)
+
+    def _leave_route(self, claim: list) -> None:
+        """Leave the loop's thread to the route that holds claim, unless
+        it has ended, and go on with the loop on a new thread."""
+        try:
+            conn = claim.pop()
+        except IndexError:  # the route has ended
+            return
+        with self._guard:
+            self._away += 1
+            self._spawn(self._take_over, "pgzone-gateway", conn)
+
+    def _take_over(self, conn: _Connection) -> None:
+        """Lead the loop in place of the thread left to conn's route.
+        conn is not read from or written to until that route has ended
+        (_take_posted)."""
+        self._selector.unregister(conn.sock)
+        self._lead()
+
+    def _pass(self) -> bool:
         """Close the connections past their deadline, wait until a socket
         is ready or the next deadline, serve each ready socket once, then
-        answer one request on each connection that holds a whole one."""
+        answer one request on each connection that holds a whole one.
+        True if the loop has left this thread to a route."""
         now = time.monotonic()
         if now >= self._next_deadline:
             self._expire(now)
@@ -268,21 +357,24 @@ class GatewayServer:
                     self._accept()
                 else:
                     self._wake_r.recv(64)
+                    self._take_posted()
             else:
                 self._guarded(self._send if mask & selectors.EVENT_WRITE
                               else self._receive, conn)
         if self._closing:
-            return
-        ready, self._ready = self._ready, []
-        for conn in ready:
-            if conn.sock.fileno() >= 0:  # not closed since it was queued
-                self._guarded(self._serve, conn)
+            return False
+        for _ in range(len(self._ready)):
+            conn = self._ready.popleft()
+            # (a connection closed since it was queued is skipped)
+            if conn.sock.fileno() >= 0 and self._guarded(self._serve, conn):
+                return True
+        return False
 
-    def _guarded(self, step, conn: _Connection) -> None:
-        """Take one step on conn; a fault in it closes conn alone, and
-        the loop serves on."""
+    def _guarded(self, step, conn: _Connection):
+        """Take one step on conn and return what it returns; a fault in
+        it closes conn alone, and the loop serves on."""
         try:
-            step(conn)
+            return step(conn)
         except Exception:
             log.exception("connection failed")
             if conn.sock.fileno() >= 0:
@@ -338,7 +430,12 @@ class GatewayServer:
     def _receive(self, conn: _Connection) -> None:
         if conn.whole():  # read on once it is answered
             return
-        into = self._recv if conn.view is None else conn.view[conn.got:]
+        if conn.view is None:
+            into = self._recv
+        else:
+            if conn.got == len(conn.view):
+                self._grow(conn)
+            into = conn.view[conn.got:]
         try:
             n = conn.sock.recv_into(into)
         except BlockingIOError:
@@ -388,16 +485,26 @@ class GatewayServer:
     def _open_body(self, conn: _Connection) -> None:
         """Give conn's body its buffer, and move into it what the inbox
         holds of the body."""
-        conn.body = io.BytesIO()
-        conn.body.seek(conn.length - 1)
-        conn.body.write(b"\0")  # sized once, never grown
-        conn.view = conn.body.getbuffer()
         end = min(conn.scan + conn.length, len(conn.inbox))
-        with memoryview(conn.inbox) as inbox:
-            conn.view[:end - conn.scan] = inbox[conn.scan:end]
+        conn.body = io.BytesIO()
         conn.got = end - conn.scan
+        self._grow(conn)
+        with memoryview(conn.inbox) as inbox:
+            conn.view[:conn.got] = inbox[conn.scan:end]
         del conn.inbox[:end]
         conn.scan = 0
+
+    def _grow(self, conn: _Connection) -> None:
+        """Size conn's body buffer to twice the bytes in it, at least
+        RECV_SIZE and at most the body's length: its memory follows the
+        bytes that arrive, not the length the head declares."""
+        if conn.view is not None:
+            conn.view.release()
+        # Writing past the end zero-fills the gap, so only what is
+        # grown here is touched.
+        conn.body.seek(min(conn.length, max(2 * conn.got, RECV_SIZE)) - 1)
+        conn.body.write(b"\0")
+        conn.view = conn.body.getbuffer()
 
     def _read_head(self, conn: _Connection) -> bool:
         """Take the lines of conn's head that have arrived; True once the
@@ -405,11 +512,12 @@ class GatewayServer:
         inbox = conn.inbox
         while True:
             end = inbox.find(b"\n", conn.scan)
+            # No line, whole or still arriving, may pass MAX_LINE bytes.
+            if (len(inbox) if end < 0 else end + 1) - conn.scan > MAX_LINE:
+                raise FramingError("request line too long", 414) \
+                    if conn.request is None else \
+                    FramingError("header line too long", 431)
             if end < 0:
-                if len(inbox) - conn.scan > MAX_LINE:
-                    raise FramingError("request line too long", 414) \
-                        if conn.request is None else \
-                        FramingError("header line too long", 431)
                 return False
             line = inbox[conn.scan:end + 1]
             conn.scan = end + 1
@@ -427,8 +535,10 @@ class GatewayServer:
         conn.length = length
         return True
 
-    def _serve(self, conn: _Connection) -> None:
-        """Answer the whole request at the front of conn's inbox."""
+    def _serve(self, conn: _Connection) -> bool:
+        """Run the route of the whole request at the front of conn's
+        inbox, and answer it. True if the loop left this thread to the
+        route meanwhile; then the loop's thread answers it."""
         method, target, version = conn.request
         headers = conn.head.headers
         del conn.inbox[:conn.scan]
@@ -439,10 +549,47 @@ class GatewayServer:
         connection = headers.get("Connection", "").lower()
         conn.close_after = connection == "close" or (
             version == "HTTP/1.0" and connection != "keep-alive")
+        self._routing = claim = [conn]
         try:
             parts = urlsplit(target)
-            payload = self.route(method, parts.path, parse_qs(parts.query),
-                                 body, headers)
+            conn.outcome = (True, self.route(
+                method, parts.path, parse_qs(parts.query), body, headers))
+        except Exception as e:  # every failure maps to a JSON error
+            conn.outcome = (False, e)
+        finally:
+            # A route that ends this thread is not answered (outcome None).
+            try:
+                claim.pop()
+                left = False
+            except IndexError:  # the loop has moved on without it
+                left = True
+                with self._guard:
+                    self._posted.append(conn)
+                self._wake()
+        if not left:
+            self._reply(conn)
+        return left
+
+    def _take_posted(self) -> None:
+        """Answer the routes that ran past HANDOFF and have ended."""
+        with self._guard:
+            posted, self._posted = self._posted, []
+            self._away -= len(posted)
+        for conn in posted:
+            self._selector.register(conn.sock, selectors.EVENT_READ, conn)
+            conn.events = selectors.EVENT_READ
+            if self._closing:
+                conn.close_after = True
+            self._guarded(self._reply, conn)
+
+    def _reply(self, conn: _Connection) -> None:
+        """Queue the answer to conn's routed request and send it."""
+        method, target, _ = conn.request
+        if conn.outcome is None:
+            self._close(conn)
+            return
+        ok, payload = conn.outcome
+        if ok:
             if isinstance(payload, tuple):
                 data, extra = payload
                 self._answer(conn, 200, data, "application/octet-stream",
@@ -450,13 +597,15 @@ class GatewayServer:
             else:
                 self._answer(conn, 200, json.dumps(payload).encode("utf-8"),
                              "application/json")
-        except Exception as e:  # every failure maps to a JSON error
+        else:
+            e = payload
             if isinstance(e, ZoneError):
                 status = e.http_status
             else:
                 status = 400 if isinstance(e, ValueError) else 500
             if status >= 500:
-                log.exception("request failed: %s %s", method, target)
+                log.error("request failed: %s %s", method, target,
+                          exc_info=e)
             self._error(conn, status, type(e).__name__, str(e))
         conn.next_request()
         self._send(conn)
@@ -532,15 +681,23 @@ class GatewayServer:
                 self._advance(conn)
 
     def _drain(self) -> None:
-        """Stop accepting and reading; send the answers already made for
-        up to DRAIN seconds, then close."""
+        """Stop accepting and reading; answer the routes still running on
+        threads the loop has left once they end, then send the answers
+        made for up to DRAIN seconds, and close."""
         self._selector.unregister(self._listener)
-        self._selector.unregister(self._wake_r)
         for conn in self._connections():
             if conn.outbox and not conn.linger:
                 conn.close_after = True
             else:
                 self._close(conn)
+        while self._away:
+            for key, _ in self._selector.select():
+                if key.data is None:
+                    self._wake_r.recv(64)
+                    self._take_posted()
+                else:
+                    self._send(key.data)
+        self._selector.unregister(self._wake_r)
         end = time.monotonic() + DRAIN
         while self._selector.get_map() and time.monotonic() < end:
             for key, _ in self._selector.select(end - time.monotonic()):
@@ -839,8 +996,6 @@ def _http_date(second: int) -> str:
 
 def _request_line(line: bytes) -> tuple[str, str, str]:
     """The method, target and version of a request line with its CRLF."""
-    if len(line) > MAX_LINE:
-        raise FramingError("request line too long", 414)
     if not line.endswith(b"\r\n"):
         raise FramingError("request line not ended by CRLF")
     text = line[:-2].decode("latin-1")

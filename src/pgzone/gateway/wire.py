@@ -53,12 +53,10 @@ class Head:
         self.fields = 0
 
     def take(self, line: bytes | bytearray) -> bool:
-        """Take one line with its line end; True if it is the blank line
-        that ends the head."""
+        """Take one line with its line end, of MAX_LINE bytes at most;
+        True if it is the blank line that ends the head."""
         if line == b"\r\n":
             return True
-        if len(line) > MAX_LINE:
-            raise FramingError("header line too long", 431)
         field = _FIELD.fullmatch(line.decode("latin-1"))
         if field is None:
             raise FramingError(f"malformed header line {bytes(line[:80])!r}")
@@ -86,6 +84,10 @@ def read_head(rfile) -> tuple[Headers, int | None]:
     """The header lines read from rfile up to the blank line, and the
     body length they declare (None when they declare none)."""
     head = Head()
-    while not head.take(rfile.readline(MAX_LINE + 1)):
-        pass
+    while True:
+        line = rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise FramingError("header line too long", 431)
+        if head.take(line):
+            break
     return head.headers, head.length()

@@ -3,6 +3,7 @@ import base64
 import contextlib
 import hashlib
 import http.client
+import http.server
 import json
 import os
 import select
@@ -401,12 +402,19 @@ def test_an_answer_left_unread_loses_its_slot(gw, monkeypatch):
         assert 0.4 < slot_frees_after(gw) < 1.5
 
 
-@pytest.mark.parametrize("stall", ["mid-head", "mid-body", "unread-answer"])
+# A head that declares the largest body and sends none of it.
+MAX_BODY_HEAD = b"PUT /data/home/f HTTP/1.1\r\nHost: x\r\n" \
+    b"Content-Length: %d\r\n\r\n" % MAX_BODY
+
+
+@pytest.mark.parametrize("stall", ["mid-head", "mid-body", "unread-answer",
+                                   "max-body-declared"])
 def test_a_stalled_client_does_not_delay_a_ping(gw, stall):
     request = {
         "mid-head": PING + b"X-Cut-Off: ",
         "mid-body": b"POST /login HTTP/1.1\r\nContent-Length: 100\r\n\r\n{",
         "unread-answer": get_big(gw),
+        "max-body-declared": MAX_BODY_HEAD,
     }[stall]
     with socket.socket() as stalled, ZoneClient(gw.url) as client:
         stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
@@ -416,6 +424,72 @@ def test_a_stalled_client_does_not_delay_a_ping(gw, stall):
         start = time.monotonic()
         assert client.ping()["zone"]
         assert time.monotonic() - start < 0.5
+
+
+def resident_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="reads the resident size from /proc")
+def test_a_declared_body_takes_memory_as_it_arrives(gw):
+    """The body buffer grows with the bytes that arrive: a head that
+    declares MAX_BODY (256 MiB) before any authentication, and sends
+    nothing more, costs the server far less than that."""
+    before = resident_bytes()
+    with socket.create_connection(gw.address, timeout=3) as sock:
+        sock.sendall(MAX_BODY_HEAD + b"x" * 1000)
+        time.sleep(0.2)  # the server has taken what arrived
+        assert resident_bytes() - before < 8 << 20
+        assert ZoneClient(gw.url).ping()["zone"]
+
+
+def slow_http_server(seconds: float, payload: bytes):
+    """An HTTP server on a thread of its own that answers every GET with
+    payload after `seconds`."""
+    class Slow(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            time.sleep(seconds)
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, fmt, *args):
+            pass
+
+    httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Slow)
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    return httpd
+
+
+def test_a_route_that_waits_does_not_delay_a_ping(gw, admin_client):
+    """A workflow run waits a second on an http_fetch: other connections
+    are served meanwhile, and the run is answered once its fetch ends."""
+    httpd = slow_http_server(1.0, b"slow bytes")
+    try:
+        admin_client.make_collection("/home/w", kind="workflow")
+        wf = admin_client.attach_workflow("/home/w", f'''
+            procedure pull() {{
+                http_fetch("http://127.0.0.1:{httpd.server_port}/f", "got")
+            }}''')
+        runs = []
+        run = threading.Thread(
+            target=lambda: runs.append(admin_client.run(wf["id"], {})))
+        start = time.monotonic()
+        run.start()
+        time.sleep(0.2)  # the run is in its fetch
+        with ZoneClient(gw.url) as other:
+            assert other.ping()["zone"]
+            assert time.monotonic() - start < 0.5
+        run.join(10)
+        assert time.monotonic() - start > 1.0
+        assert runs and runs[0]["status"] == "ok"
+        assert admin_client.get("/home/w/got") == b"slow bytes"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
 
 
 def serve_once(answer: bytes):
@@ -726,8 +800,9 @@ def test_threads_share_one_client(gw, admin_client):
 
 def test_shutdown_ends_keepalive_connections(tmp_path):
     """A client that connected before the shutdown is not served after
-    it: its next call fails, nothing more is journaled, and the one
-    thread that served every connection has ended."""
+    it: its next call fails, nothing more is journaled, and the server's
+    threads have ended: the loop's (more than one if a route ran past
+    HANDOFF), and the one that watches its routes."""
     zone = make_zone(journal_dir=tmp_path / "journal")
     before = set(threading.enumerate())
     gw = GatewayServer(zone, host="127.0.0.1", port=free_port()).start()
@@ -735,7 +810,8 @@ def test_shutdown_ends_keepalive_connections(tmp_path):
     client.login(ADMIN, ADMIN_SECRET)
     client.put("/home/g", b"before")
     served_by = set(threading.enumerate()) - before  # the server's threads
-    assert len(served_by) == 1
+    assert {t.name for t in served_by} == {"pgzone-gateway",
+                                           "pgzone-gateway-watch"}
     gw.shutdown()
     assert not any(t.is_alive() for t in served_by)
     journaled = len(zone.catalog.records())
@@ -755,10 +831,11 @@ def test_shutdown_lets_a_request_in_flight_answer(gw, admin_client,
     entered, release = threading.Event(), threading.Event()
     route = gw.route
 
-    def held_route(*args):
-        entered.set()
-        release.wait(10)
-        return route(*args)
+    def held_route(method, *args):
+        if method == "PUT":
+            entered.set()
+            release.wait(10)
+        return route(method, *args)
 
     monkeypatch.setattr(gw, "route", held_route)
     answers = []
@@ -766,6 +843,10 @@ def test_shutdown_lets_a_request_in_flight_answer(gw, admin_client,
         target=lambda: answers.append(admin_client.put("/home/f", b"x")))
     put.start()
     assert entered.wait(5)
+    with ZoneClient(gw.url) as other:  # the held route keeps a thread
+        start = time.monotonic()
+        assert other.ping()["zone"]
+        assert time.monotonic() - start < 0.5
     stopper = threading.Thread(target=gw.shutdown)
     stopper.start()
     stopper.join(0.3)
