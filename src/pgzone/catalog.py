@@ -266,8 +266,8 @@ def _empty_memo() -> dict[str, dict[str, str]]:
     return {"objects": {}, "avus": {}, "runs": {}}
 
 
-def _hash_secret(secret: str, salt_hex: str | None = None) -> str:
-    salt = bytes.fromhex(salt_hex) if salt_hex else os.urandom(16)
+def _hash_secret(secret: str) -> str:
+    salt = os.urandom(16)
     digest = hashlib.pbkdf2_hmac(
         "sha256", secret.encode("utf-8"), salt, _PBKDF2_ITERATIONS)
     return f"pbkdf2${_PBKDF2_ITERATIONS}${salt.hex()}${digest.hex()}"

@@ -1,4 +1,4 @@
-"""Storage drivers: the four-call contract, built-ins, and registry.
+"""Storage drivers: the four-call contract, built-ins, and their registry.
 
 A driver stores and reads whole blobs at one class of storage location.
 The engine treats physical refs as opaque tokens: it asks the driver to
@@ -28,7 +28,8 @@ import threading
 import uuid
 from dataclasses import dataclass, field
 
-from .errors import DriverError, DuplicateName, NoSuchRef, Unsupported, UnknownDriver
+from .common import Registry
+from .errors import DriverError, NoSuchRef, Unsupported, UnknownDriver
 
 
 class Driver:
@@ -122,33 +123,8 @@ class LocalFsDriver(Driver):
             raise DriverError(f"unlink of {ref!r} failed: {e}") from e
 
 
-class DriverRegistry:
-    """Name -> driver map, mutable while the system runs."""
-
-    def __init__(self):
-        self._drivers: dict[str, Driver] = {}
-        self._lock = threading.Lock()
-
-    def register(self, name: str, driver: Driver) -> None:
-        with self._lock:
-            if name in self._drivers:
-                raise DuplicateName(f"driver {name!r} already registered")
-            self._drivers[name] = driver
-
-    def get(self, name: str) -> Driver:
-        with self._lock:
-            try:
-                return self._drivers[name]
-            except KeyError:
-                raise UnknownDriver(name) from None
-
-    def names(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._drivers))
-
-
-def builtin_registry() -> DriverRegistry:
-    reg = DriverRegistry()
+def builtin_registry() -> Registry[Driver]:
+    reg: Registry[Driver] = Registry("driver", UnknownDriver)
     reg.register("localfs", LocalFsDriver())
     reg.register("mem", MemDriver())
     reg.register("archive", ArchiveDriver())

@@ -42,8 +42,8 @@ from .catalog import (
     parent_path,
     validate_path,
 )
-from .common import SYSTEM, sha256_hex
-from .drivers import Driver, DriverRegistry
+from .common import SYSTEM, Registry, sha256_hex
+from .drivers import Driver
 from .errors import (
     AllReplicasSuspect,
     ChecksumMismatch,
@@ -165,32 +165,6 @@ class MicroService:
     fn: Callable[..., Value | None]
     min_args: int
     max_args: int
-
-
-class MicroServiceRegistry:
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._services: dict[str, MicroService] = {}
-
-    def register(self, name: str, fn: Callable, min_args: int,
-                 max_args: int | None = None) -> None:
-        if max_args is None:
-            max_args = min_args
-        with self._lock:
-            if name in self._services:
-                raise DuplicateName(f"micro-service {name!r} already exists")
-            self._services[name] = MicroService(name, fn, min_args, max_args)
-
-    def get(self, name: str) -> MicroService:
-        with self._lock:
-            ms = self._services.get(name)
-        if ms is None:
-            raise EngineError(f"unknown micro-service {name!r}")
-        return ms
-
-    def names(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._services))
 
 
 def _require_str(value: Value, what: str) -> str:
@@ -318,14 +292,16 @@ class _Trap:
 
 
 class Engine:
-    def __init__(self, catalog: Catalog, drivers: DriverRegistry,
+    def __init__(self, catalog: Catalog, drivers: Registry[Driver],
                  default_resource: str | None = None):
         self.catalog = catalog
         self.drivers = drivers
         self.default_resource = default_resource
-        self.microservices = MicroServiceRegistry()
+        self.microservices: Registry[MicroService] = Registry(
+            "micro-service",
+            lambda name: EngineError(f"unknown micro-service {name!r}"))
         for name, fn, lo, hi in _BUILTINS:
-            self.microservices.register(name, fn, lo, hi)
+            self.microservices.register(name, MicroService(name, fn, lo, hi))
         self._rules_lock = threading.Lock()  # serializes rule changes
         self._load_table()  # point -> its rules in dispatch order
         # A path's lock lives while someone holds or waits for it, so
@@ -528,7 +504,10 @@ class Engine:
     def register_microservice(self, caller: str, name: str, fn: Callable,
                               min_args: int, max_args: int | None = None) -> None:
         self.catalog.require_admin(caller)
-        self.microservices.register(name, fn, min_args, max_args)
+        if max_args is None:
+            max_args = min_args
+        self.microservices.register(
+            name, MicroService(name, fn, min_args, max_args))
         self.catalog.audit_append(caller, "microservice.register", name)
 
     # -- resource helpers --------------------------------------------------------
@@ -618,10 +597,9 @@ class Engine:
                     path, replica.physical_ref, "suspect")
             raise AllReplicasSuspect(path)
 
-    def put_internal(self, actor: str, path: str, data: bytes,
-                     resource: str | None = None) -> ObjectView:
+    def put_internal(self, actor: str, path: str, data: bytes) -> ObjectView:
         validate_path(path)
-        resource = self._resource_or_default(resource)
+        resource = self._resource_or_default(None)
         with self._path_lock(path):
             return self._put_effect(actor, path, data, resource)
 
@@ -756,8 +734,7 @@ class Engine:
 
     # -- remote fetch with caching ---------------------------------------------
 
-    def fetch(self, actor: str, url: str, dest_path: str,
-              resource: str | None = None) -> tuple[str, bool]:
+    def fetch(self, actor: str, url: str, dest_path: str) -> tuple[str, bool]:
         """Fetch a URL into the zone once: a later fetch of the exact
         same URL returns the already-stored object without touching the
         network, as long as that object still exists unchanged."""
@@ -775,7 +752,7 @@ class Engine:
                     return path, True
                 del self._fetch_cache[url]
             data = self._http_get(url)
-            view = self.put_internal(actor, dest_path, data, resource)
+            view = self.put_internal(actor, dest_path, data)
             self._fetch_cache[url] = (dest_path, view.checksum)
             return dest_path, False
 

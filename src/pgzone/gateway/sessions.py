@@ -37,9 +37,8 @@ def _key(token: str) -> bytes:
 
 
 class SessionStore:
-    def __init__(self, catalog: Catalog, ttl_us: int = TOKEN_TTL_US):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.ttl_us = ttl_us
         self._lock = threading.Lock()
         self._sessions: dict[bytes, Session] = {}
         self._sweep_at = _MIN_SWEEP
@@ -56,7 +55,7 @@ class SessionStore:
                     "-", "login", "failed: malformed user name")
             raise BadCredentials("unknown user or wrong secret")
         session = Session(token=secrets.token_hex(32), user=user,
-                          expires_at=now_us() + self.ttl_us)
+                          expires_at=now_us() + TOKEN_TTL_US)
         with self._lock:
             if len(self._sessions) >= self._sweep_at:
                 now = now_us()
@@ -80,10 +79,3 @@ class SessionStore:
         if session is None:
             raise BadCredentials("invalid or expired token")
         return session.user
-
-    def expire_now(self, token: str) -> None:
-        """Force-expire one session (test hook for TTL behavior)."""
-        with self._lock:
-            session = self._sessions.get(_key(token))
-            if session is not None:
-                session.expires_at = 0

@@ -25,7 +25,6 @@ from .ast import (
 from .evaluator import eval_expr
 from .parser import SYSTEM_VARS, parse_procedure, parse_rules
 from .printer import (
-    pretty_print,
     print_chain,
     print_expr,
     print_procedure,
@@ -36,6 +35,5 @@ __all__ = [
     "Allow", "Assign", "Binary", "Call", "Deny", "Expr", "Foreach", "If",
     "Item", "Lit", "ProcedureAst", "RuleAst", "Unary", "Value", "Var",
     "SYSTEM_VARS", "eval_expr", "parse_procedure", "parse_rules",
-    "pretty_print", "print_chain", "print_expr", "print_procedure",
-    "print_rule",
+    "print_chain", "print_expr", "print_procedure", "print_rule",
 ]

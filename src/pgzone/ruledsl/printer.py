@@ -95,14 +95,3 @@ def print_rule(rule: RuleAst) -> str:
 def print_procedure(proc: ProcedureAst) -> str:
     params = ", ".join(f"${p}" for p in proc.params)
     return f"procedure {proc.name}({params}) {{ {print_chain(proc.body)} }}"
-
-
-def pretty_print(node) -> str:
-    """Print a RuleAst, ProcedureAst, or list of rules as canonical source."""
-    if isinstance(node, RuleAst):
-        return print_rule(node)
-    if isinstance(node, ProcedureAst):
-        return print_procedure(node)
-    if isinstance(node, list):
-        return "\n".join(print_rule(r) for r in node)
-    raise TypeError(f"cannot print {type(node).__name__}")

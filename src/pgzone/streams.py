@@ -302,13 +302,6 @@ class Streams:
             return None
         return data if got == checksum else None
 
-    def drop_index(self, coll: str | None = None) -> None:
-        with self._index_lock:
-            if coll is None:
-                self._index.clear()
-            else:
-                self._index.pop(coll, None)
-
     # -- operations -----------------------------------------------------------
 
     def ingest(self, actor: str, coll: str, segment: bytes,

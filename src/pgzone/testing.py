@@ -1,11 +1,9 @@
-"""Support pieces for exercising failure paths: a fault-injecting
-driver wrapper and small helpers shared by the test suite and by
-operators reproducing issues.
+"""Support for exercising failure paths: FaultDriver, a driver wrapper
+that injects faults, used by the test suite and by operators
+reproducing a storage fault.
 """
 
 from __future__ import annotations
-
-import socket
 
 from .drivers import Driver
 from .errors import DriverError
@@ -41,9 +39,3 @@ class FaultDriver(Driver):
         if self.fail_unlink:
             raise DriverError(f"injected unlink failure for {ref!r}")
         self.inner.unlink(ref)
-
-
-def free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]

@@ -1,4 +1,5 @@
 import random
+import socket
 
 import pytest
 
@@ -56,6 +57,16 @@ def zone():
     z = make_zone()
     yield z
     z.close()
+
+
+@pytest.fixture
+def dead_url():
+    """URL of a loopback port that stays bound, but not listening, for
+    the whole test: a connection to it is refused, and no other process
+    can take the port meanwhile."""
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        yield "http://127.0.0.1:%d" % s.getsockname()[1]
 
 
 @pytest.fixture

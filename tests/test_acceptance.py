@@ -27,7 +27,6 @@ from pgzone.gateway.client import ZoneClient
 from pgzone.gateway.server import GatewayServer
 from pgzone.ruledsl import parse_rules, print_rule
 from pgzone.streams import pack_records
-from pgzone.testing import free_port
 
 from conftest import ADMIN, ADMIN_SECRET, add_user, make_zone
 
@@ -116,7 +115,7 @@ def test_deletion_policy_matrix():
 
 def test_live_policy_flip_over_network():
     zone = make_zone()
-    server = GatewayServer(zone, host="127.0.0.1", port=free_port()).start()
+    server = GatewayServer(zone, host="127.0.0.1", port=0).start()
     try:
         admin = ZoneClient(server.url)
         admin.login(ADMIN, ADMIN_SECRET)

@@ -6,22 +6,25 @@ import pytest
 import pgzone.drivers as drivers_mod
 from pgzone.drivers import (
     ArchiveDriver,
-    DriverRegistry,
     LocalFsDriver,
     MemDriver,
     builtin_registry,
     run_conformance,
 )
+from pgzone.engine import MicroService
 from pgzone.errors import (
     DriverError,
     DuplicateName,
+    EngineError,
     NoSuchRef,
     UnknownDriver,
     Unsupported,
 )
+from pgzone.gateway.client import ClientError, ZoneClient
+from pgzone.gateway.server import GatewayServer
 from pgzone.testing import FaultDriver
 
-from conftest import DRIVER_CODE
+from conftest import ADMIN, ADMIN_SECRET, DRIVER_CODE, make_zone
 
 
 def drivers_under_test(tmp_path):
@@ -166,13 +169,55 @@ def test_registry_builtins():
     assert isinstance(reg.get("mem"), MemDriver)
 
 
-def test_registry_duplicate_and_unknown():
-    reg = DriverRegistry()
-    reg.register("a", MemDriver())
-    with pytest.raises(DuplicateName):
-        reg.register("a", MemDriver())
-    with pytest.raises(UnknownDriver):
-        reg.get("b")
+def _nop(ctx):
+    return ""
+
+
+@pytest.mark.parametrize("kind", ["driver", "micro-service"])
+def test_registry_duplicate_and_unknown(kind):
+    """Both kinds of plugged-in code share one registry: a taken name is
+    DuplicateName (409 through the gateway) and keeps the first entry,
+    an unknown name raises the kind's own error, and names are sorted."""
+    zone = make_zone()
+    zone.allow_dynamic_code = True
+    if kind == "driver":
+        registry, make = zone.drivers, MemDriver
+        unknown = pytest.raises(UnknownDriver)
+
+        def upload(client, name):
+            client.register_driver(name, DRIVER_CODE)
+    else:
+        registry = zone.engine.microservices
+
+        def make():
+            return MicroService("m", _nop, 0, 0)
+        unknown = pytest.raises(EngineError,
+                                match="^unknown micro-service 'x'$")
+
+        def upload(client, name):
+            client.register_microservice(name, "def ms(ctx):\n    pass\n", 0)
+    server = GatewayServer(zone, host="127.0.0.1", port=0).start()
+    try:
+        first = make()
+        registry.register("m", first)
+        with pytest.raises(DuplicateName):
+            registry.register("m", make())
+        assert registry.get("m") is first
+        with unknown:
+            registry.get("x")
+        registry.register("a", make())
+        names = registry.names()
+        assert {"a", "m"} <= set(names) and list(names) == sorted(names)
+
+        with ZoneClient(server.url) as client:
+            client.login(ADMIN, ADMIN_SECRET)
+            upload(client, "up")
+            with pytest.raises(ClientError) as exc:
+                upload(client, "up")
+        assert (exc.value.status, exc.value.error) == (409, "DuplicateName")
+    finally:
+        server.shutdown()
+        zone.close()
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,15 @@ from pathlib import Path
 import pytest
 
 from pgzone import errors
+from pgzone.common import now_us
 from pgzone.gateway import server as server_module
+from pgzone.gateway import sessions
 from pgzone.gateway.cli import build_parser, main
 from pgzone.gateway.client import (ClientError, TransportError, ZoneClient,
                                    _read_response)
 from pgzone.gateway.config import GatewayConfig
 from pgzone.gateway.server import MAX_BODY, GatewayServer
-from pgzone.gateway.sessions import SessionStore
-from pgzone.testing import free_port
+from pgzone.gateway.sessions import TOKEN_TTL_US, SessionStore
 from pgzone.zone import Zone
 
 from conftest import ADMIN, ADMIN_SECRET, DRIVER_CODE, add_user, make_zone
@@ -37,7 +38,7 @@ from conftest import ADMIN, ADMIN_SECRET, DRIVER_CODE, add_user, make_zone
 @pytest.fixture
 def gw():
     zone = make_zone()
-    server = GatewayServer(zone, host="127.0.0.1", port=free_port()).start()
+    server = GatewayServer(zone, host="127.0.0.1", port=0).start()
     yield server
     server.shutdown()
     zone.close()
@@ -73,7 +74,7 @@ def test_login_rejects_bad_secret(gw):
 
 def test_failed_login_leaves_a_malformed_name_out_of_the_journal(tmp_path):
     zone = make_zone(journal_dir=tmp_path / "j")
-    server = GatewayServer(zone, host="127.0.0.1", port=free_port()).start()
+    server = GatewayServer(zone, host="127.0.0.1", port=0).start()
     log = tmp_path / "j" / "journal.log"
     try:
         before = log.stat().st_size
@@ -99,8 +100,9 @@ def test_requests_without_token_are_rejected(gw):
     assert exc.value.status == 401
 
 
-def test_expired_token_is_rejected(gw, admin_client):
-    gw.sessions.expire_now(admin_client.token)
+def test_expired_token_is_rejected(gw, admin_client, monkeypatch):
+    later = now_us() + TOKEN_TTL_US  # the login's token expires then
+    monkeypatch.setattr(sessions, "now_us", lambda: later)
     with pytest.raises(ClientError) as exc:
         admin_client.stat("/")
     assert exc.value.status == 401
@@ -605,21 +607,22 @@ def test_netrc_entry_does_not_replace_bearer_token(gw, no_proxy_env,
     assert client.list_collection("/home")["path"] == "/home"
 
 
-def test_proxies_resolved_once_at_construction(gw, no_proxy_env):
+def test_proxies_resolved_once_at_construction(gw, no_proxy_env,
+                                               dead_url):
     # zone.invalid never resolves: the ping arrives only through the
     # proxy, here the live gateway, which answers an absolute URL.
     no_proxy_env.setenv("HTTP_PROXY", gw.url)
     client = ZoneClient("http://zone.invalid:1")
     # The environment is not read again per request: were it, this ping
     # would go to the dead proxy.
-    no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{free_port()}")
+    no_proxy_env.setenv("HTTP_PROXY", dead_url)
     assert client.ping()["zone"]
     no_proxy_env.delenv("HTTP_PROXY")
     assert client.ping()["zone"]
 
 
-def test_no_proxy_bypasses_a_dead_proxy(gw, no_proxy_env):
-    no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{free_port()}")
+def test_no_proxy_bypasses_a_dead_proxy(gw, no_proxy_env, dead_url):
+    no_proxy_env.setenv("HTTP_PROXY", dead_url)
     no_proxy_env.setenv("NO_PROXY", "127.0.0.1")
     client = ZoneClient(gw.url)
     assert client.ping()["zone"]
@@ -805,7 +808,7 @@ def test_shutdown_ends_keepalive_connections(tmp_path):
     HANDOFF), and the one that watches its routes."""
     zone = make_zone(journal_dir=tmp_path / "journal")
     before = set(threading.enumerate())
-    gw = GatewayServer(zone, host="127.0.0.1", port=free_port()).start()
+    gw = GatewayServer(zone, host="127.0.0.1", port=0).start()
     client = ZoneClient(gw.url)
     client.login(ADMIN, ADMIN_SECRET)
     client.put("/home/g", b"before")
@@ -860,11 +863,10 @@ def test_shutdown_lets_a_request_in_flight_answer(gw, admin_client,
         admin_client.ping()
 
 
-def test_refused_connection_is_a_transport_error(tmp_path):
-    url = f"http://127.0.0.1:{free_port()}"
-    with ZoneClient(url) as client, pytest.raises(TransportError):
+def test_refused_connection_is_a_transport_error(tmp_path, dead_url):
+    with ZoneClient(dead_url) as client, pytest.raises(TransportError):
         client.ping()
-    assert main(["--server", url, "--token-file", str(tmp_path / "t"),
+    assert main(["--server", dead_url, "--token-file", str(tmp_path / "t"),
                  "ping"]) == 3
 
 
@@ -905,23 +907,24 @@ class _OpenCatalog:
         pass
 
 
-def test_session_lookup_among_many_sessions():
+def test_session_lookup_among_many_sessions(monkeypatch):
     store = SessionStore(_OpenCatalog())
     tokens = [(store.login(f"u{i % 97}", "pw").token, f"u{i % 97}")
               for i in range(10_000)]
     for token, user in tokens[::499] + tokens[-1:]:
         assert store.authenticate(token) == user
-    token, _user = tokens[1234]
-    store.expire_now(token)
+    monkeypatch.setattr(sessions, "TOKEN_TTL_US", 0)
+    token = store.login("u0", "pw").token  # expired on arrival
     for bad in (token, tokens[0][0][:-1] + "x", "", None):
         with pytest.raises(errors.BadCredentials):
             store.authenticate(bad)
-    assert len(store._sessions) == 9_999  # the lookup dropped it
+    assert len(store._sessions) == 10_000  # the lookup dropped it
     assert store.authenticate(tokens[1235][0]) == tokens[1235][1]
 
 
-def test_expired_sessions_do_not_pile_up():
-    store = SessionStore(_OpenCatalog(), ttl_us=0)  # expired on arrival
+def test_expired_sessions_do_not_pile_up(monkeypatch):
+    monkeypatch.setattr(sessions, "TOKEN_TTL_US", 0)  # expired on arrival
+    store = SessionStore(_OpenCatalog())
     tokens = [store.login("u", "pw").token for _ in range(5000)]
     with pytest.raises(errors.BadCredentials):
         store.authenticate(tokens[-1])
@@ -1109,7 +1112,7 @@ def test_malformed_json_fields_are_4xx_and_never_journaled(tmp_path):
     add_user(zone, "u")
     zone.engine.put(ADMIN, "/home/u/f", b"x")
     zone.catalog.make_collection(ADMIN, "/proj", kind="workflow")
-    server = GatewayServer(zone, host="127.0.0.1", port=free_port()).start()
+    server = GatewayServer(zone, host="127.0.0.1", port=0).start()
     try:
         admin = ZoneClient(server.url)
         admin.login(ADMIN, ADMIN_SECRET)
@@ -1290,7 +1293,7 @@ def test_dynamic_code_disabled_by_default(gw, admin_client):
 def dyn_gw():
     zone = make_zone()
     zone.allow_dynamic_code = True
-    server = GatewayServer(zone, host="127.0.0.1", port=free_port()).start()
+    server = GatewayServer(zone, host="127.0.0.1", port=0).start()
     yield server
     server.shutdown()
     zone.close()
@@ -1362,12 +1365,17 @@ def read_line(proc, timeout):
     return lines[0] if lines else ""
 
 
+def serve_url(proc):
+    """The URL a `pg serve` child prints on its first line."""
+    line = read_line(proc, CLI_TIMEOUT)
+    assert " listening on " in line, line
+    return line.split(" listening on ", 1)[1].strip()
+
+
 def test_cli_against_live_server(tmp_path):
-    port = free_port()
     env = cli_env(
         PG_ADMIN_SECRET=ADMIN_SECRET,
-        PG_BIND_PORT=str(port),
-        PG_SERVER=f"http://127.0.0.1:{port}",
+        PG_BIND_PORT="0",
         PG_TOKEN_FILE=str(tmp_path / "token"),
         PG_JOURNAL_DIR=str(tmp_path / "journal"),
         PG_DATA_ROOT=str(tmp_path / "blobs"),
@@ -1376,8 +1384,7 @@ def test_cli_against_live_server(tmp_path):
         [sys.executable, "-m", "pgzone.gateway.cli", "serve"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:
-        line = read_line(server, CLI_TIMEOUT)
-        assert "listening" in line
+        env["PG_SERVER"] = serve_url(server)
 
         def pg(*args):
             return subprocess.run(
@@ -1420,10 +1427,9 @@ def test_cli_against_live_server(tmp_path):
 def test_serve_stops_cleanly_on_sigterm(tmp_path):
     """kill, docker stop and systemd send SIGTERM: `pg serve` shuts the
     gateway down and closes the zone, as on Ctrl-C, and exits 0."""
-    port = free_port()
     env = cli_env(
         PG_ADMIN_SECRET=ADMIN_SECRET,
-        PG_BIND_PORT=str(port),
+        PG_BIND_PORT="0",
         PG_JOURNAL_DIR=str(tmp_path / "journal"),
         PG_DATA_ROOT=str(tmp_path / "blobs"),
     )
@@ -1431,8 +1437,7 @@ def test_serve_stops_cleanly_on_sigterm(tmp_path):
         [sys.executable, "-m", "pgzone.gateway.cli", "serve"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:
-        assert "listening" in read_line(server, CLI_TIMEOUT)
-        with ZoneClient(f"http://127.0.0.1:{port}") as client:
+        with ZoneClient(serve_url(server)) as client:
             client.login(ADMIN, ADMIN_SECRET)
             client.put("/home/f", b"kept")
             server.terminate()
@@ -1446,9 +1451,9 @@ def test_serve_stops_cleanly_on_sigterm(tmp_path):
         assert zone.catalog.get_object("/home/f").version == 1
 
 
-def test_cli_transport_error_exit_code(tmp_path):
+def test_cli_transport_error_exit_code(tmp_path, dead_url):
     env = cli_env(
-        PG_SERVER=f"http://127.0.0.1:{free_port()}",
+        PG_SERVER=dead_url,
         PG_TOKEN_FILE=str(tmp_path / "token"),
     )
     r = subprocess.run(

@@ -15,7 +15,7 @@ from pgzone.errors import (
     TimestampsDecreasing,
     ZoneError,
 )
-from pgzone.streams import pack_records, parse_segment, scan_segment
+from pgzone.streams import Streams, pack_records, parse_segment, scan_segment
 
 from conftest import ADMIN, add_user
 
@@ -266,7 +266,7 @@ def test_index_rebuilds_from_segment_bytes(zone, rng):
         segments.append(zone.streams.ingest(ADMIN, coll, pack_records(recs)))
         want.extend(recs)
     full_before = zone.streams.read(ADMIN, coll, 0, t + 1)
-    zone.streams.drop_index()
+    zone.streams = Streams(zone.engine)  # an empty index
     assert zone.streams.read(ADMIN, coll, 0, t + 1) == full_before
     assert sorted(full_before) == sorted(want)
 
@@ -279,7 +279,7 @@ def test_index_rebuilds_from_segment_bytes(zone, rng):
         live = zone.streams.read(ADMIN, coll, 0, t + 1)
         if not stat_first:
             stat = zone.streams.stat(ADMIN, coll)
-        zone.streams.drop_index()
+        zone.streams = Streams(zone.engine)  # an empty index
         assert live == zone.streams.read(ADMIN, coll, 0, t + 1)
         assert stat == zone.streams.stat(ADMIN, coll)
         assert stat["segments"] == len(zone.catalog.list_collection(coll)[1])
@@ -326,7 +326,7 @@ def test_put_over_a_segment_reindexes_it(zone):
                 zone.streams.stat(ADMIN, coll))
 
     live = observed()
-    zone.streams.drop_index()
+    zone.streams = Streams(zone.engine)  # an empty index
     assert live == observed()
     assert live[:3] == ([(30, b"c"), (50, b"X")], [(50, b"X")], [])
     assert live[4] == {"segments": 2, "records": 2, "t_min": 30,
@@ -361,7 +361,7 @@ def test_path_locks_live_only_while_held(zone):
         zone.engine.get(ADMIN, f"/home/o{i}")
         zone.streams.ingest(ADMIN, coll, pack_records([(i, b"r")]))
         zone.streams.read(ADMIN, coll, 0, 100)
-    zone.streams.drop_index()
+    zone.streams = Streams(zone.engine)  # an empty index
     assert zone.streams.stat(ADMIN, coll)["segments"] == 5  # a rebuild
     assert len(zone.engine._path_locks) == 0
 
@@ -375,7 +375,7 @@ def test_ingest_over_an_object_put_under_its_name(zone):
     entry = zone.streams.ingest(ADMIN, coll, pack_records([(3, b"c")]))
     assert entry.path == taken
     live = zone.streams.read(ADMIN, coll, 0, 9), zone.streams.stat(ADMIN, coll)
-    zone.streams.drop_index()
+    zone.streams = Streams(zone.engine)  # an empty index
     assert live == (zone.streams.read(ADMIN, coll, 0, 9),
                     zone.streams.stat(ADMIN, coll))
     assert live[0] == [(1, b"a"), (3, b"c")]
@@ -466,7 +466,7 @@ def test_reads_match_a_brute_force_oracle_through_index_upkeep(tmp_path):
                 zone.engine.put(ADMIN, path, pack_records(records))
                 model[path] = (model[path][0], records)
             elif kind == "drop":
-                zone.streams.drop_index()
+                zone.streams = Streams(zone.engine)  # an empty index
             else:
                 zone.close()
                 zone = open_zone()
@@ -534,6 +534,6 @@ def test_concurrent_ingests_reads_and_puts_lose_no_segment(zone):
     live = (zone.streams.read(ADMIN, coll, 0, 3000),
             zone.streams.stat(ADMIN, coll))
     assert live[1]["segments"] == 301
-    zone.streams.drop_index()
+    zone.streams = Streams(zone.engine)  # an empty index
     assert live == (zone.streams.read(ADMIN, coll, 0, 3000),
                     zone.streams.stat(ADMIN, coll))
