@@ -20,25 +20,28 @@ journal.
 
 A snapshot reuses the serialized text of each object, triple list and
 run that has not changed since the last snapshot; a commit drops the
-text of the path it names before it applies. The bytes written are the
-same as a fresh serialization. data_state_digest() and state_dict()
-never use that text, so a stale one shows as a reopened zone whose
-digest differs from the live one.
+text of the path it names, in the sections its op changes, before it
+applies. The bytes written are the same as a fresh serialization.
+data_state_digest() and state_dict() never use that text, so a stale
+one shows as a reopened zone whose digest differs from the live one.
 
 All state is kept as JSON-able dicts so snapshots, replay, and deep
 state comparison share one representation. Callers get immutable view
 dataclasses, never the internal dicts.
 
-Two indexes are derived state: the children of each collection, and
-the paths under each attribute (name, value) pair. The _apply_*
-functions keep them and _load_state rebuilds them, so recovery and
-replay rebuild them too; they are never journaled or written to a
-snapshot. A listing then costs O(children), and a metadata query
-O(distinct pairs under the name it narrows to). The _apply_* functions
-also note, per collection, the seq of the newest object put or removed
-in it other than by a stream ingest (rewrite_seq), which tells a cache
-of the collection, the stream index, that it must look again; it starts
-empty at every open.
+Two indexes are derived state: the children of each collection, as a
+sorted list of subcollections and one of objects, and the paths under
+each attribute (name, value) pair. The _apply_* functions keep them and
+_load_state rebuilds them, so recovery and replay rebuild them too;
+they are never journaled or written to a snapshot. A listing then costs
+O(children), and a page of one O(page). A metadata query costs
+O(distinct pairs under the name it narrows to); a `like` literal with a
+fixed prefix narrows to the sorted range of names or values that start
+with it, from sorted lists built at the first such query and kept from
+then on. The _apply_* functions also note, per collection, the seq of
+the newest object put or removed in it other than by a stream ingest
+(rewrite_seq), which tells a cache of the collection, the stream index,
+that it must look again; it starts empty at every open.
 
 Mutations are serialized through one lock (the journal sequence is the
 linearization order); the catalog object may be shared across threads.
@@ -54,6 +57,7 @@ import logging
 import os
 import re
 import threading
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -255,6 +259,21 @@ class AvuPredicate:
         return True
 
 
+# The text every match of a `like` pattern starts with.
+_LIKE_PREFIX_RE = re.compile(r"[^*?]*")
+
+
+def _prefixed(keys: list[str], prefix: str) -> list[str]:
+    """The keys, sorted, that start with prefix: those from prefix up to
+    the first string past all of them, which is prefix with its last
+    character below U+10FFFF raised by one and what follows it cut."""
+    lo = bisect_left(keys, prefix)
+    stem = prefix.rstrip("\U0010ffff")
+    if not stem:
+        return keys[lo:]
+    return keys[lo:bisect_left(keys, stem[:-1] + chr(ord(stem[-1]) + 1), lo)]
+
+
 # --------------------------------------------------------------------------
 # Catalog
 # --------------------------------------------------------------------------
@@ -264,6 +283,15 @@ def _empty_memo() -> dict[str, dict[str, str]]:
     state, by key; see Journal.write_snapshot. A run is never rewritten,
     as record_run refuses a duplicate id, so only _commit drops texts."""
     return {"objects": {}, "avus": {}, "runs": {}}
+
+
+# The memo sections whose entry for its "path" an op changes, where that
+# is not "objects" alone.
+_MEMO_SECTIONS = {
+    "avu.add": ("avus",),
+    "object.remove": ("objects", "avus"),
+    "stream.ingest": ("objects", "avus"),
+}
 
 
 def _hash_secret(secret: str) -> str:
@@ -312,9 +340,14 @@ class Catalog:
         self._runs: dict[str, dict] = {}
         self._orphans: list[dict] = []
         self._stream_counters: dict[str, int] = {}
-        # Derived from the above; see the module docstring.
-        self._children: dict[str, set[str]] = {}
+        # Derived from the above; see the module docstring. A parent's
+        # children are (subcollections, objects), each sorted.
+        self._children: dict[str, tuple[list[str], list[str]]] = {}
         self._avu_index: dict[str, dict[str, set[str]]] = {}
+        # The sorted names of _avu_index, and of each name its sorted
+        # values: None, or no entry, until a `like` range scan needs it.
+        self._sorted_names: list[str] | None = None
+        self._sorted_values: dict[str, list[str]] = {}
         self._snapshot_memo = _empty_memo()
         # Collection -> seq of the newest object.put or object.remove in
         # it: lets a cache of a collection's objects see it changed.
@@ -335,8 +368,8 @@ class Catalog:
         # apply that raises half way leaves none that is stale.
         path = args.get("path")
         if path is not None:
-            self._snapshot_memo["objects"].pop(path, None)
-            self._snapshot_memo["avus"].pop(path, None)
+            for section in _MEMO_SECTIONS.get(op, ("objects",)):
+                self._snapshot_memo[section].pop(path, None)
         self._apply(op, args, seq)
         if seq % SNAPSHOT_EVERY == 0:
             # The commit stands without its snapshot: recovery replays a
@@ -439,12 +472,21 @@ class Catalog:
         self._stream_counters = state["stream_counters"]
         self._children = {}
         self._avu_index = {}
+        self._sorted_names = None
+        self._sorted_values = {}
         self._snapshot_memo = _empty_memo()
-        for path in self._collections:
-            if path != "/":
-                self._add_child(path)
-        for path in self._objects:
-            self._add_child(path)
+        # Each child list is filled in any order, then sorted once.
+        for kind, paths in enumerate((self._collections, self._objects)):
+            for path in paths:
+                if path != "/":
+                    parent = parent_path(path)
+                    lists = self._children.get(parent)
+                    if lists is None:
+                        lists = self._children[parent] = ([], [])
+                    lists[kind].append(path)
+        for lists in self._children.values():
+            for paths in lists:
+                paths.sort()
         for path, triples in self._avus.items():
             for name, value, _comment in triples:
                 self._index_avu(path, name, value)
@@ -636,15 +678,27 @@ class Catalog:
         with self._lock:
             return path in self._collections or path in self._objects
 
-    def list_collection(self, path: str) -> tuple[list[str], list[str]]:
-        """Immediate children of a collection: (subcollections, objects)."""
+    def list_collection(self, path: str, marker: str | None = None,
+                        limit: int | None = None
+                        ) -> tuple[list[str], list[str]]:
+        """Immediate children of a collection: (subcollections, objects),
+        each sorted. A page holds, of all the children in path order, at
+        most `limit` of those after `marker`, which need not be a child."""
+        if limit is not None and limit < 1:
+            raise ValueError(f"limit must be 1 or more, not {limit}")
         with self._lock:
             if path not in self._collections:
                 raise NoSuchPath(path)
-            children = self._children.get(path, ())
-            subcolls = sorted(p for p in children if p in self._collections)
-            objects = sorted(p for p in children if p in self._objects)
-            return subcolls, objects
+            subcolls, objects = self._children.get(path, ([], []))
+            i = bisect_right(subcolls, marker or "")
+            j = bisect_right(objects, marker or "")
+            if limit is None:
+                return subcolls[i:], objects[j:]
+            # The first `limit` of the two runs merged in path order.
+            page = sorted(subcolls[i:i + limit] + objects[j:j + limit])
+            del page[limit:]
+            return ([p for p in page if p in self._collections],
+                    [p for p in page if p in self._objects])
 
     def set_acl(self, caller: str, path: str, principal: str,
                 perm: str) -> None:
@@ -704,25 +758,49 @@ class Catalog:
             predicate = AvuPredicate.parse(predicate)
         if not isinstance(predicate, AvuPredicate):
             raise MalformedPredicate(f"not a predicate: {predicate!r}")
+        # Of each field, the first `=` literal, and the longest prefix of
+        # its `like` literals: every match holds it, so it narrows the
+        # scan, and matches_triple makes the final check.
         name_lit = value_lit = None
+        name_prefix = value_prefix = ""
         for field, op, lit in predicate.clauses:
-            if op == "=" and field == "name" and name_lit is None:
-                name_lit = lit
-            elif op == "=" and field == "value" and value_lit is None:
-                value_lit = lit
+            if op == "=":
+                if field == "name" and name_lit is None:
+                    name_lit = lit
+                elif field == "value" and value_lit is None:
+                    value_lit = lit
+            elif op == "like":
+                prefix = _LIKE_PREFIX_RE.match(lit)[0]
+                if field == "name" and len(prefix) > len(name_prefix):
+                    name_prefix = prefix
+                elif field == "value" and len(prefix) > len(value_prefix):
+                    value_prefix = prefix
         # A triple matches on its name and value alone, so a path matches
         # when one of its (name, value) pairs does.
         hits: set[str] = set()
         with self._lock:
-            if name_lit is None:
-                by_name = self._avu_index.items()
+            index = self._avu_index
+            if name_lit is not None:
+                by_name = [(name_lit, index.get(name_lit, {}))]
+            elif name_prefix:
+                if self._sorted_names is None:
+                    self._sorted_names = sorted(index)
+                by_name = [(name, index[name]) for name in
+                           _prefixed(self._sorted_names, name_prefix)]
             else:
-                by_name = [(name_lit, self._avu_index.get(name_lit, {}))]
+                by_name = index.items()
             for name, by_value in by_name:
-                if value_lit is None:
-                    pairs = by_value.items()
-                else:
+                if value_lit is not None:
                     pairs = [(value_lit, by_value.get(value_lit, ()))]
+                elif value_prefix and by_value:
+                    # A name no triple holds gets no list: none is kept.
+                    values = self._sorted_values.get(name)
+                    if values is None:
+                        values = self._sorted_values[name] = sorted(by_value)
+                    pairs = [(value, by_value[value]) for value in
+                             _prefixed(values, value_prefix)]
+                else:
+                    pairs = by_value.items()
                 for value, paths in pairs:
                     if paths and predicate.matches_triple(name, value):
                         hits.update(paths)
@@ -993,22 +1071,28 @@ class Catalog:
     # before they insert, as setdefault would build a throwaway container
     # each call, which costs more in garbage collection than the lookup.
 
-    def _add_child(self, path: str) -> None:
+    def _add_child(self, path: str, kind: int) -> None:
+        """File a new path under its parent: kind 0 is a subcollection,
+        1 an object."""
         parent = parent_path(path)
-        children = self._children.get(parent)
-        if children is None:
-            self._children[parent] = {path}
-        else:
-            children.add(path)
+        lists = self._children.get(parent)
+        if lists is None:
+            lists = self._children[parent] = ([], [])
+        insort(lists[kind], path)
 
     def _index_avu(self, path: str, name: str, value: str) -> None:
         by_value = self._avu_index.get(name)
         if by_value is None:
             self._avu_index[name] = {value: {path}}
+            if self._sorted_names is not None:
+                insort(self._sorted_names, name)
             return
         paths = by_value.get(value)
         if paths is None:
             by_value[value] = {path}
+            values = self._sorted_values.get(name)
+            if values is not None:
+                insort(values, value)
         else:
             paths.add(path)
 
@@ -1017,7 +1101,7 @@ class Catalog:
             "owner": a["owner"], "acl": dict(a["acl"]), "kind": a["kind"],
         }
         if a["path"] != "/":
-            self._add_child(a["path"])
+            self._add_child(a["path"], 0)
 
     def _apply_acl_set(self, a: dict, seq: int) -> None:
         node = self._node(a["path"])
@@ -1046,7 +1130,7 @@ class Catalog:
                 "owner": a["owner"], "acl": {a["owner"]: "own"},
                 "version": 1, "replicas": [replica],
             }
-            self._add_child(a["path"])
+            self._add_child(a["path"], 1)
         else:
             obj["version"] += 1
             obj["replicas"] = [replica]
@@ -1067,7 +1151,10 @@ class Catalog:
         path = a["path"]
         parent = parent_path(path)
         del self._objects[path]
-        self._children[parent].discard(path)
+        subcolls, objects = self._children[parent]
+        del objects[bisect_left(objects, path)]
+        if not (subcolls or objects):
+            del self._children[parent]
         self._rewrites[parent] = seq
         # Triples that differ only in their comment share one pair.
         pairs = {(name, value) for name, value, _ in self._avus.pop(path, ())}
@@ -1079,8 +1166,15 @@ class Catalog:
             paths.discard(path)
             if not paths:
                 del by_value[value]
+                values = self._sorted_values.get(name)
+                if values is not None:
+                    del values[bisect_left(values, value)]
                 if not by_value:
                     del self._avu_index[name]
+                    self._sorted_values.pop(name, None)
+                    if self._sorted_names is not None:
+                        del self._sorted_names[
+                            bisect_left(self._sorted_names, name)]
 
     def _apply_orphan_add(self, a: dict, seq: int) -> None:
         self._orphans.append({

@@ -116,8 +116,10 @@ COMMANDS = (
      (_PATH, _arg("--kind", default="plain",
                   choices=["plain", "stream", "workflow"])),
      lambda c, a: c.make_collection(a.path, a.kind)),
-    ("ls", "list a collection", (_PATH,),
-     lambda c, a: c.list_collection(a.path)),
+    ("ls", "list a collection",
+     (_PATH, _arg("--marker", help="list only the paths after this one"),
+      _arg("--limit", type=int, help="list at most this many")),
+     lambda c, a: c.list_collection(a.path, a.marker, a.limit)),
     ("stat", "show object record", (_PATH,), lambda c, a: c.stat(a.path)),
     ("replicate", "replicate an object onto a resource",
      (_PATH, _arg("resource")),

@@ -252,8 +252,12 @@ class ZoneClient:
         return self._json("POST", "/collections",
                           json_body={"path": path, "kind": kind})
 
-    def list_collection(self, path: str) -> dict:
-        return self._json("GET", "/collections" + self._q(path))
+    def list_collection(self, path: str, marker: str | None = None,
+                        limit: int | None = None) -> dict:
+        params = {k: v for k, v in (("marker", marker), ("limit", limit))
+                  if v is not None}
+        return self._json("GET", "/collections" + self._q(path),
+                          params=params)
 
     # -- metadata -----------------------------------------------------------
 

@@ -772,10 +772,18 @@ class GatewayServer:
         return _as_dict(self.catalog.get_collection(coll))
 
     def _list_collection(self, user, tail, query, body):
-        subcolls, objects = self.catalog.list_collection(tail)
+        limit = _int_param(query, "limit", required=False)
+        subcolls, objects = self.catalog.list_collection(
+            tail, _one(query, "marker"), limit)
         view = self.catalog.get_collection(tail)
-        return {"path": tail, "kind": view.kind, "owner": view.owner,
-                "collections": subcolls, "objects": objects}
+        answer = {"path": tail, "kind": view.kind, "owner": view.owner,
+                  "collections": subcolls, "objects": objects}
+        if limit is not None:
+            # A full page may not be the last: the next starts after it.
+            full = len(subcolls) + len(objects) == limit
+            answer["next"] = max(subcolls[-1:] + objects[-1:]) if full \
+                else None
+        return answer
 
     def _add_avu(self, user, tail, query, body):
         self.engine.add_avu(user, *_fields(body, "path", "name", "value",

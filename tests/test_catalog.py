@@ -460,10 +460,11 @@ def check_indexes(c, rng):
     listings = scan_listings(state)
     for coll, listing in listings.items():
         assert c.list_collection(coll) == listing, coll
-    # The children index holds no removed path.
-    assert {p: kids for p, kids in c._children.items() if kids} == {
-        p: set(subs + objs) for p, (subs, objs) in listings.items()
-        if subs or objs}
+    # The children index holds each parent's two lists exactly, sorted
+    # and without duplicates, and no removed path or empty entry.
+    assert c._children == {p: (subs, objs)
+                           for p, (subs, objs) in listings.items()
+                           if subs or objs}
     a, b = rng.sample(INDEX_NAMES, 2)
     v = rng.choice(INDEX_VALUES)
     predicates = [random_clauses(rng) for _ in range(3)] + [
@@ -556,6 +557,123 @@ def test_indexes_match_scan_through_reopens(tmp_path):
     assert replayed.state_dict() == want
     check_indexes(replayed, rng)
     check_audit(replayed)
+
+
+RANGE_NAMES = ["id", "idx", "i", "é", "éa", "ζ.x"]
+RANGE_VALUES = ["v1", "v12", "v120", "v2", "ü", "üx", "", "x/y", "v1?",
+                "z\U0010ffff", "z\U0010ffffq", "z", "{"]
+# Each a `like` literal: an empty prefix, non-ASCII ones, a literal equal
+# to values and names that start with it, and prefixes matching nothing.
+RANGE_LITERALS = ["*x", "?x", "*", "?", "v1*", "v1", "v12*", "v1?", "ü*",
+                  "é*", "éa", "id*", "i?", "i", "nothing*", "zz?", "ÿ*",
+                  "v1*0", "*/y", "z\U0010ffff*", "z*", "\U0010ffff*"]
+
+
+def check_pages(c, coll):
+    """Pages of limit 1, 7 and more than the listing concatenate to it,
+    and a marker that is no child starts after where it would sort."""
+    subcolls, objects = c.list_collection(coll)
+    merged = sorted(subcolls + objects)
+    for limit in (1, 7, len(merged) + 1):
+        got, marker = [], None
+        # A pager that repeats a child stops once it has them all.
+        while len(got) <= len(merged):
+            subs, objs = c.list_collection(coll, marker, limit)
+            page = sorted(subs + objs)
+            assert subs == [p for p in page if p in subcolls]
+            assert objs == [p for p in page if p in objects]
+            assert len(page) <= limit
+            got += page
+            if len(page) < limit:
+                break
+            marker = page[-1]
+        assert got == merged, (coll, limit)
+    for marker in (coll, f"{coll}/o5~", f"{coll}/c", "\U0010ffff"):
+        subs, objs = c.list_collection(coll, marker)
+        assert subs == [p for p in subcolls if p > marker]
+        assert objs == [p for p in objects if p > marker]
+        after = [p for p in merged if p > marker][:3]
+        assert c.list_collection(coll, marker, 3) == (
+            [p for p in subcolls if p in after],
+            [p for p in objects if p in after])
+
+
+def check_ranges(c, rng):
+    """Every `like` literal, on each field and under a name, gives what a
+    linear scan of the state gives, and every listing pages to itself."""
+    state = c.state_dict()
+    for lit in RANGE_LITERALS:
+        for clauses in ([("name", "like", lit)], [("value", "like", lit)],
+                        [("name", "=", rng.choice(RANGE_NAMES)),
+                         ("value", "like", lit)],
+                        [("name", "like", lit),
+                         ("value", "like", rng.choice(RANGE_LITERALS))],
+                        [("value", "like", lit), ("value", "!=", "v12")]):
+            text = " and ".join(f'{f} {op} "{escape_string(x)}"'
+                                for f, op, x in clauses)
+            assert c.query_avu(text) == scan_query(state, clauses), text
+    for coll in state["collections"]:
+        check_pages(c, coll)
+    # The sorted lists that the range scans built hold exactly the live
+    # names, and the live values of each name.
+    if c._sorted_names is not None:
+        assert c._sorted_names == sorted(c._avu_index)
+    for name, values in c._sorted_values.items():
+        assert values == sorted(c._avu_index[name]), name
+
+
+def range_step(c, rng, colls, objects):
+    """One random add, put or object remove on a small zone."""
+    roll = rng.random()
+    if roll < 0.05:
+        path = f"{rng.choice(colls).rstrip('/')}/c{rng.randint(0, 4)}"
+        if not c.path_exists(path):
+            c.make_collection("admin", path)
+            colls.append(path)
+    elif roll < 0.3:
+        path = f"{rng.choice(colls).rstrip('/')}/o{rng.randint(0, 19)}"
+        if not c.collection_exists(path):
+            put(c, path)
+            objects.add(path)
+    elif roll < 0.45 and objects:
+        path = rng.choice(sorted(objects))
+        c.remove_object(path)
+        objects.discard(path)
+    elif objects:
+        c.add_avu("admin", rng.choice(sorted(objects) + colls),
+                  rng.choice(RANGE_NAMES), rng.choice(RANGE_VALUES))
+
+
+def test_listings_and_like_ranges_match_scan_through_reopens(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(pgzone.catalog, "SNAPSHOT_EVERY", 60)
+    rng = random.Random(34)
+    c = Catalog(tmp_path)
+    c.create_user(SYSTEM, "admin", "admin", "pw")
+    c.make_collection(SYSTEM, "/", owner="admin")
+    colls, objects = ["/"], set()
+    for step in range(300):
+        range_step(c, rng, colls, objects)
+        if step % 10 == 0:
+            check_ranges(c, rng)
+    assert list(tmp_path.glob("snapshot-*.json"))
+    want = c.state_dict()
+    c.close()
+
+    for reopen in ("from a snapshot", "from the journal alone"):
+        if reopen == "from the journal alone":
+            for p in tmp_path.glob("snapshot-*.json"):
+                p.unlink()
+        c = Catalog(tmp_path)
+        assert c.state_dict() == want, reopen
+        check_ranges(c, rng)
+        for step in range(100):
+            range_step(c, rng, colls, objects)
+            if step % 10 == 0:
+                check_ranges(c, rng)
+        check_ranges(c, rng)
+        want = c.state_dict()
+        c.close()
 
 
 def test_removing_every_object_under_a_name_empties_its_buckets():

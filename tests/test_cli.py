@@ -48,7 +48,9 @@ CASES = [
     (["mkdir", "/d"], "make_collection", ("/d", "plain"), {}, REPLY),
     (["mkdir", "/s", "--kind", "stream"], "make_collection",
      ("/s", "stream"), {}, REPLY),
-    (["ls", "/d"], "list_collection", ("/d",), {}, REPLY),
+    (["ls", "/d"], "list_collection", ("/d", None, None), {}, REPLY),
+    (["ls", "/d", "--marker", "/d/b", "--limit", "7"], "list_collection",
+     ("/d", "/d/b", 7), {}, REPLY),
     (["stat", "/d/f"], "stat", ("/d/f",), {}, REPLY),
     (["replicate", "/d/f", "vault"], "replicate", ("/d/f", "vault"), {},
      REPLY),

@@ -471,6 +471,8 @@ def test_apply_that_raises_leaves_no_stale_snapshot_text(tmp_path,
         with pytest.raises(MemoryError):
             c.add_avu("admin", "/d/o", "b", "2")
     assert [t.attr_name for t in c.avus("/d/o")] == ["a", "b"]
+    # An avu.add changes the object's triples, not its own record.
+    assert "/d/o" in c._snapshot_memo["objects"]
     state = c._state()
     target = c._journal.write_snapshot(c._seq, state, c._snapshot_memo)
     assert snapshot_body(target, c._seq) == canonical_json(state).encode()

@@ -1221,6 +1221,32 @@ def test_collections_over_http(gw, admin_client):
                        "collections": [], "objects": ["/home/d/f"]}
 
 
+def test_collection_pages_over_http(gw, admin_client):
+    admin_client.make_collection("/home/d")
+    for name in ("b", "d"):
+        admin_client.make_collection(f"/home/d/{name}")
+    for name in ("a", "c", "e"):
+        admin_client.put(f"/home/d/{name}", b"x")
+    whole = admin_client.list_collection("/home/d")
+    assert "next" not in whole
+    pages, marker = [], None
+    while True:
+        page = admin_client.list_collection("/home/d", marker, 2)
+        pages.append(page["collections"] + page["objects"])
+        if page["next"] is None:
+            break
+        marker = page["next"]
+    assert pages == [["/home/d/b", "/home/d/a"], ["/home/d/d", "/home/d/c"],
+                     ["/home/d/e"]]
+    page = admin_client.list_collection("/home/d", "/home/d/bb", 9)
+    assert (page["collections"], page["objects"], page["next"]) == (
+        ["/home/d/d"], ["/home/d/c", "/home/d/e"], None)
+    for limit in (0, -1, "x", "1.5"):
+        with pytest.raises(ClientError) as exc:
+            admin_client.list_collection("/home/d", limit=limit)
+        assert exc.value.status == 400, limit
+
+
 def test_users_groups_acl_over_http(gw, admin_client):
     admin_client.create_user("ada", "user", "s3cret")
     admin_client.make_collection("/home/ada")
