@@ -13,13 +13,18 @@ row and reports its median, scaled to the reference speed
 
   site_eq     name = "site" and value = "s7"
   id_like     name = "id" and value like "v12*"
+  id_one      name = "id" and value like "v0*"   (one path at every N)
   value_like  value like "v12*"
-  name_like   name like "si*" and value like "s7*"
+  name_like   name like "si*" and value like "s7*"   (the names are
+              scanned; only the values under them have a range)
   lead_star   value like "*12"   (no prefix: a scan of every pair)
   ls          list_collection("/d")
   ls_page     the first 100 children of /d; a source whose
               list_collection takes no limit lists them all and cuts
               the first 100 from the merged listing
+  put         put_object of a new object /d/oK, K from N up, which
+              files it among the N children of /d; run last, after
+              which /d holds N + CALLS objects
 
 Every process of a size must return the same results. Rows are named
 ROW.N in microseconds; the result holds each row's median and runs, its
@@ -28,6 +33,9 @@ checked on each source's medians:
 
   - at the largest N, each `like "v12*"` row costs at most 2x the
     smallest N's row per returned path;
+  - at the largest N, id_one costs at most 2x the smallest N's id_one:
+    its result stays one path as the zone grows, so this gate, unlike
+    the one above, fails on a scan of every value under the name;
   - the first page of 100 costs under 1 ms at the largest N;
   - with two or more sources, the unpaged listing at the largest N is at
     least 10x faster than the first source's, in the median of the
@@ -45,6 +53,7 @@ PAGE = 100
 QUERIES = {
     "site_eq": 'name = "site" and value = "s7"',
     "id_like": 'name = "id" and value like "v12*"',
+    "id_one": 'name = "id" and value like "v0*"',
     "value_like": 'value like "v12*"',
     "name_like": 'name like "si*" and value like "s7*"',
     "lead_star": 'value like "*12"',
@@ -88,6 +97,11 @@ for row, call in calls.items():
     got = call()
     counts[row] = len(got[0]) + len(got[1])
     us[row] = median_us([call] * CALLS)
+us["put"] = median_us(
+    lambda k=k: c.put_object(f"/d/o{k}", "admin", "main", f"ref{k}",
+                             checksum, 1)
+    for k in range(n, n + CALLS))
+counts["put"] = len(c.list_collection("/d")[1])
 report(us, counts)
 """
 
@@ -105,6 +119,9 @@ def gates(times: dict, counts: dict, sizes: list[int]) -> dict:
             mine[f"{row}.per_path_growth"] = {
                 "value": round(growth, 3), "bound": 2.0,
                 "met": growth <= 2.0}
+        growth = medians[f"id_one.{large}"] / medians[f"id_one.{small}"]
+        mine["id_one.growth"] = {"value": round(growth, 3), "bound": 2.0,
+                                 "met": growth <= 2.0}
         page_ms = medians[f"ls_page.{large}"] / 1000
         mine["ls_page.ms"] = {"value": round(page_ms, 4), "bound": 1.0,
                               "met": page_ms < 1.0}
@@ -134,7 +151,8 @@ def main() -> None:
                 f"{CALLS} calls in each of {args.repeats} fresh processes "
                 "per source and size, paired by repeat; N objects in one "
                 "collection, each with a `site` triple of 50 values and "
-                "an `id` triple of its own",
+                "an `id` triple of its own; `put` files one more object "
+                "among them",
         **machine(srcs, args.note),
         "objects": args.objects,
         "queries": QUERIES,

@@ -35,13 +35,14 @@ each attribute (name, value) pair. The _apply_* functions keep them and
 _load_state rebuilds them, so recovery and replay rebuild them too;
 they are never journaled or written to a snapshot. A listing then costs
 O(children), and a page of one O(page). A metadata query costs
-O(distinct pairs under the name it narrows to); a `like` literal with a
-fixed prefix narrows to the sorted range of names or values that start
-with it, from sorted lists built at the first such query and kept from
-then on. The _apply_* functions also note, per collection, the seq of
-the newest object put or removed in it other than by a stream ingest
-(rewrite_seq), which tells a cache of the collection, the stream index,
-that it must look again; it starts empty at every open.
+O(distinct pairs under the name it narrows to); a `like` value literal
+with a fixed prefix narrows, under each name, to the sorted range of
+values that start with it, from a sorted list of the name's values
+built at the first such query and kept from then on. The _apply_*
+functions also note, per collection, the seq of the newest object put
+or removed in it other than by a stream ingest (rewrite_seq), which
+tells a cache of the collection, the stream index, that it must look
+again; it starts empty at every open.
 
 Mutations are serialized through one lock (the journal sequence is the
 linearization order); the catalog object may be shared across threads.
@@ -344,9 +345,8 @@ class Catalog:
         # children are (subcollections, objects), each sorted.
         self._children: dict[str, tuple[list[str], list[str]]] = {}
         self._avu_index: dict[str, dict[str, set[str]]] = {}
-        # The sorted names of _avu_index, and of each name its sorted
-        # values: None, or no entry, until a `like` range scan needs it.
-        self._sorted_names: list[str] | None = None
+        # Of each name in _avu_index, its sorted values: no entry until a
+        # `like` range scan needs it.
         self._sorted_values: dict[str, list[str]] = {}
         self._snapshot_memo = _empty_memo()
         # Collection -> seq of the newest object.put or object.remove in
@@ -472,7 +472,6 @@ class Catalog:
         self._stream_counters = state["stream_counters"]
         self._children = {}
         self._avu_index = {}
-        self._sorted_names = None
         self._sorted_values = {}
         self._snapshot_memo = _empty_memo()
         # Each child list is filled in any order, then sorted once.
@@ -759,36 +758,28 @@ class Catalog:
         if not isinstance(predicate, AvuPredicate):
             raise MalformedPredicate(f"not a predicate: {predicate!r}")
         # Of each field, the first `=` literal, and the longest prefix of
-        # its `like` literals: every match holds it, so it narrows the
-        # scan, and matches_triple makes the final check.
+        # the value's `like` literals: every match holds it, so it narrows
+        # the scan, and matches_triple makes the final check.
         name_lit = value_lit = None
-        name_prefix = value_prefix = ""
+        value_prefix = ""
         for field, op, lit in predicate.clauses:
             if op == "=":
                 if field == "name" and name_lit is None:
                     name_lit = lit
                 elif field == "value" and value_lit is None:
                     value_lit = lit
-            elif op == "like":
+            elif op == "like" and field == "value":
                 prefix = _LIKE_PREFIX_RE.match(lit)[0]
-                if field == "name" and len(prefix) > len(name_prefix):
-                    name_prefix = prefix
-                elif field == "value" and len(prefix) > len(value_prefix):
+                if len(prefix) > len(value_prefix):
                     value_prefix = prefix
         # A triple matches on its name and value alone, so a path matches
         # when one of its (name, value) pairs does.
         hits: set[str] = set()
         with self._lock:
-            index = self._avu_index
-            if name_lit is not None:
-                by_name = [(name_lit, index.get(name_lit, {}))]
-            elif name_prefix:
-                if self._sorted_names is None:
-                    self._sorted_names = sorted(index)
-                by_name = [(name, index[name]) for name in
-                           _prefixed(self._sorted_names, name_prefix)]
+            if name_lit is None:
+                by_name = self._avu_index.items()
             else:
-                by_name = index.items()
+                by_name = [(name_lit, self._avu_index.get(name_lit, {}))]
             for name, by_value in by_name:
                 if value_lit is not None:
                     pairs = [(value_lit, by_value.get(value_lit, ()))]
@@ -1084,8 +1075,6 @@ class Catalog:
         by_value = self._avu_index.get(name)
         if by_value is None:
             self._avu_index[name] = {value: {path}}
-            if self._sorted_names is not None:
-                insort(self._sorted_names, name)
             return
         paths = by_value.get(value)
         if paths is None:
@@ -1172,9 +1161,6 @@ class Catalog:
                 if not by_value:
                     del self._avu_index[name]
                     self._sorted_values.pop(name, None)
-                    if self._sorted_names is not None:
-                        del self._sorted_names[
-                            bisect_left(self._sorted_names, name)]
 
     def _apply_orphan_add(self, a: dict, seq: int) -> None:
         self._orphans.append({
