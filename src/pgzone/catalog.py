@@ -27,7 +27,12 @@ one shows as a reopened zone whose digest differs from the live one.
 
 All state is kept as JSON-able dicts so snapshots, replay, and deep
 state comparison share one representation. Callers get immutable view
-dataclasses, never the internal dicts.
+dataclasses, never the internal dicts: the public getters (get_user,
+get_resource, get_object and the listings of them) build a view on each
+call. A few lookups that the engine makes on every trapped operation
+return plain values instead, only the fields it reads: user_role,
+resource_location, object_owner and good_replicas. Each raises the
+same NoSuch* error as the getter it stands in for.
 
 Two indexes are derived state: the children of each collection, as a
 sorted list of subcollections and one of objects, and the paths under
@@ -50,7 +55,6 @@ linearization order); the catalog object may be shared across threads.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import hmac
 import json
@@ -293,6 +297,16 @@ _MEMO_SECTIONS = {
     "object.remove": ("objects", "avus"),
     "stream.ingest": ("objects", "avus"),
 }
+
+
+def _json_copy(value):
+    """A copy of a JSON value that shares no dict or list with it.
+    copy.deepcopy of a run record costs about six times as much."""
+    if type(value) is dict:
+        return {key: _json_copy(item) for key, item in value.items()}
+    if type(value) is list:
+        return [_json_copy(item) for item in value]
+    return value
 
 
 def _hash_secret(secret: str) -> str:
@@ -583,6 +597,14 @@ class Catalog:
             return UserView(name=name, role=record["role"],
                             groups=tuple(sorted(record["groups"])))
 
+    def user_role(self, name: str) -> str:
+        """get_user(name).role, without the view."""
+        with self._lock:
+            record = self._users.get(name)
+            if record is None:
+                raise NoSuchUser(name)
+            return record["role"]
+
     def user_exists(self, name: str) -> bool:
         with self._lock:
             return name in self._users
@@ -626,6 +648,14 @@ class Catalog:
             if record is None:
                 raise NoSuchResource(name)
             return ResourceView(name=name, **record)
+
+    def resource_location(self, name: str) -> tuple[str, str]:
+        """(driver_name, root) of get_resource(name), without the view."""
+        with self._lock:
+            record = self._resources.get(name)
+            if record is None:
+                raise NoSuchResource(name)
+            return record["driver_name"], record["root"]
 
     def resources(self) -> list[ResourceView]:
         with self._lock:
@@ -916,6 +946,25 @@ class Catalog:
                 version=obj["version"],
                 replicas=tuple(ReplicaView(**r) for r in obj["replicas"]))
 
+    def object_owner(self, path: str) -> str:
+        """get_object(path).owner, without the view."""
+        with self._lock:
+            obj = self._objects.get(path)
+            if obj is None:
+                raise NoSuchObject(path)
+            return obj["owner"]
+
+    def good_replicas(self, path: str) -> list[tuple[str, str, str]]:
+        """(resource, physical_ref, checksum) of each replica of
+        get_object(path) whose status is good, in the same order, without
+        the view."""
+        with self._lock:
+            obj = self._objects.get(path)
+            if obj is None:
+                raise NoSuchObject(path)
+            return [(r["resource"], r["physical_ref"], r["checksum"])
+                    for r in obj["replicas"] if r["status"] == "good"]
+
     def object_exists(self, path: str) -> bool:
         with self._lock:
             return path in self._objects
@@ -938,7 +987,7 @@ class Catalog:
 
     def orphans(self) -> list[dict]:
         with self._lock:
-            return copy.deepcopy(self._orphans)
+            return _json_copy(self._orphans)
 
     # -- policies (rule base) ------------------------------------------------
 
@@ -1011,7 +1060,7 @@ class Catalog:
             record = self._runs.get(run_id)
             if record is None:
                 raise NoSuchRun(run_id)
-            return copy.deepcopy(record)
+            return _json_copy(record)
 
     # -- streams ----------------------------------------------------------------
 
@@ -1185,7 +1234,7 @@ class Catalog:
         }
 
     def _apply_run_record(self, a: dict, seq: int) -> None:
-        record = copy.deepcopy(a["record"])
+        record = _json_copy(a["record"])
         self._runs[record["run_id"]] = record
 
     def _apply_stream_ingest(self, a: dict, seq: int) -> None:

@@ -16,6 +16,15 @@ invoked from inside rule chains or procedure bodies (via micro-services)
 use the internal entry points, which authorize and act but do not
 re-enter the enforcement points, so policy evaluation cannot recurse.
 
+The path every trapped operation shares reads the catalog through its
+plain lookups, not its views: the firing's user.role (user_role), the
+owner a get, put, remove or replicate binds (object_owner), a
+resource's driver and root (resource_location), and the replicas a
+read tries (good_replicas). A public getter (get_object, get_user,
+get_resource) builds a frozen view on each call; the engine uses them
+for what it hands back, such as the ObjectView a put returns, and off
+that path.
+
 Rule dispatch is first match wins over rules for the point, ordered by
 descending priority then ascending name; when nothing matches the
 verdict is Allow. A rule is parsed when it is added or when the zone
@@ -396,7 +405,7 @@ class Engine:
     def _role_of(self, actor: str) -> str:
         if actor == SYSTEM:
             return "system"
-        return self.catalog.get_user(actor).role
+        return self.catalog.user_role(actor)
 
     def fire_pep(self, pep: str, actor: str,
                  bindings: Mapping[str, Value]) -> Verdict:
@@ -520,8 +529,8 @@ class Engine:
         return self.default_resource
 
     def _driver_for(self, resource_name: str) -> tuple[Driver, str]:
-        res = self.catalog.get_resource(resource_name)
-        return self.drivers.get(res.driver_name), res.root
+        driver_name, root = self.catalog.resource_location(resource_name)
+        return self.drivers.get(driver_name), root
 
     def _store_bytes(self, resource_name: str, data: bytes) -> tuple[str, str]:
         driver, root = self._driver_for(resource_name)
@@ -534,7 +543,7 @@ class Engine:
     def _put_effect(self, actor: str, path: str, data: bytes,
                     resource: str) -> ObjectView:
         if self.catalog.object_exists(path):
-            owner = self.catalog.get_object(path).owner
+            owner = self.catalog.object_owner(path)
             self.catalog.require_access(path, actor, "write")
         else:
             owner = actor
@@ -567,34 +576,33 @@ class Engine:
             self.catalog.add_orphan(path, replica.resource,
                                     replica.physical_ref, replica.checksum)
 
-    def _read_replica(self, replica) -> bytes | None:
-        """The replica's bytes, or None when they cannot be read or no
+    def _read_replica(self, resource: str, physical_ref: str,
+                      checksum: str) -> bytes | None:
+        """A replica's bytes, or None when they cannot be read or no
         longer hash to its recorded checksum."""
         try:
-            driver, _root = self._driver_for(replica.resource)
-            data = driver.read_all(replica.physical_ref)
+            driver, _root = self._driver_for(resource)
+            data = driver.read_all(physical_ref)
         except ZoneError:
             return None
-        return data if sha256_hex(data) == replica.checksum else None
+        return data if sha256_hex(data) == checksum else None
 
     def read_object(self, actor: str, path: str) -> tuple[bytes, str]:
         """Authorized read returning verified bytes and the checksum they
         were verified against; replicas whose bytes no longer hash to
         their recorded checksum are marked suspect and skipped."""
         with self._path_lock(path):
-            obj = self.catalog.get_object(path)
+            replicas = self.catalog.good_replicas(path)
             self.catalog.require_access(path, actor, "read")
-            for replica in obj.replicas:
-                if replica.status != "good":
-                    continue
-                data = self._read_replica(replica)
+            for resource, physical_ref, checksum in replicas:
+                data = self._read_replica(resource, physical_ref, checksum)
                 if data is not None:
                     rec = current_recorder()
                     if rec is not None:
-                        rec.record_read(path, replica.checksum)
-                    return data, replica.checksum
+                        rec.record_read(path, checksum)
+                    return data, checksum
                 self.catalog.set_replica_status(
-                    path, replica.physical_ref, "suspect")
+                    path, physical_ref, "suspect")
             raise AllReplicasSuspect(path)
 
     def put_internal(self, actor: str, path: str, data: bytes) -> ObjectView:
@@ -636,9 +644,9 @@ class Engine:
             resource: str | None = None) -> ObjectView:
         validate_path(path)
         resource = self._resource_or_default(resource)
-        self.catalog.get_resource(resource)
+        self.catalog.resource_location(resource)  # NoSuchResource if absent
         with self._path_lock(path):
-            owner = self.catalog.get_object(path).owner \
+            owner = self.catalog.object_owner(path) \
                 if self.catalog.object_exists(path) else actor
             with self.trapped("data.put", actor, **{
                     "obj.path": path, "obj.owner": owner,
@@ -649,17 +657,17 @@ class Engine:
 
     def get(self, actor: str, path: str) -> bytes:
         with self._path_lock(path):
-            obj = self.catalog.get_object(path)  # NoSuchObject if absent
+            owner = self.catalog.object_owner(path)  # NoSuchObject if absent
             with self.trapped("data.get", actor, **{
-                    "obj.path": path, "obj.owner": obj.owner}):
+                    "obj.path": path, "obj.owner": owner}):
                 data, _checksum = self.read_object(actor, path)
             return data
 
     def remove(self, actor: str, path: str) -> None:
         with self._path_lock(path):
-            obj = self.catalog.get_object(path)
+            owner = self.catalog.object_owner(path)
             with self.trapped("data.remove", actor, **{
-                    "obj.path": path, "obj.owner": obj.owner}):
+                    "obj.path": path, "obj.owner": owner}):
                 self.catalog.require_access(path, actor, "write")
                 for replica in self.catalog.remove_object(path):
                     self._dispose_replica(path, replica)
@@ -668,10 +676,10 @@ class Engine:
     def replicate(self, actor: str, path: str,
                   dest_resource: str) -> ObjectView:
         with self._path_lock(path):
-            obj = self.catalog.get_object(path)
+            owner = self.catalog.object_owner(path)
             self.catalog.get_resource(dest_resource)
             with self.trapped("data.replicate", actor, **{
-                    "obj.path": path, "obj.owner": obj.owner,
+                    "obj.path": path, "obj.owner": owner,
                     "resc.name": dest_resource}):
                 view = self._replicate_effect(actor, path, dest_resource)
             self.catalog.audit_append(
@@ -707,7 +715,9 @@ class Engine:
             self.catalog.require_access(path, actor, "read")
             result: list[tuple[str, str]] = []
             for replica in obj.replicas:
-                ok = self._read_replica(replica) is not None
+                ok = self._read_replica(replica.resource,
+                                        replica.physical_ref,
+                                        replica.checksum) is not None
                 status = "good" if ok else "suspect"
                 if status != replica.status:
                     self.catalog.set_replica_status(

@@ -16,9 +16,10 @@ answer without blocking, as one vectored write of its head and body.
 It takes at most one request per connection per pass, so a client
 that pipelines cannot starve the others. Routes run on the loop's
 thread, one at a time, except that a route still running after
-HANDOFF seconds (an http_fetch, uploaded code that waits, a long
-query) keeps that thread: the loop moves on to a new one, and the
-route's answer is sent once it ends.
+HANDOFF seconds (uploaded code that waits, a long query) keeps that
+thread: the loop moves on to a new one, and the route's answer is sent
+once it ends. A route that the code knows will wait (an http_fetch, a
+login's key derivation) leaves the loop's thread as the wait starts.
 
 Up to MAX_CONNECTIONS connections are served at once (one more is
 answered 503 and closed). A request's head must arrive within
@@ -723,7 +724,9 @@ class GatewayServer:
         return handler(user, slash + rest, query, body)
 
     def _login(self, user, tail, query, body):
-        session = self.sessions.login(*_fields(body, "user", "secret"))
+        fields = _fields(body, "user", "secret")
+        self._before_wait()  # the key derivation takes tens of ms of CPU
+        session = self.sessions.login(*fields)
         return {"token": session.token, "user": session.user,
                 "expires_at": session.expires_at}
 

@@ -25,10 +25,14 @@ Every text here is canonical JSON: sorted keys, no spaces, ASCII only,
 the bytes of json.dumps(value, sort_keys=True, separators=(",", ":"),
 ensure_ascii=True). canonical_json encodes with the one C encoder made
 at import, not with a new encoder per call as json.dumps does. A line
-of journal.log encodes only the record's args and op; its seq and when
-are spliced around them with one % format. Canonical JSON sorts the
-four keys as args, op, seq, when, so the line has the same bytes as
-canonical_json(record).
+of journal.log encodes only the record's args; its op, encoded once per
+op name into a token table, and its seq and when follow them in one %
+format. The args of an audit.append, three strings under fixed keys,
+fill one fixed template of three encoded strings instead; any other
+args go through canonical_json. Canonical JSON sorts the four keys as
+args, op, seq, when, so the line has the same bytes as
+canonical_json(record). A line goes to the file in one write; only a
+short write loops.
 
 A journal made without a directory keeps its lines in a list and writes
 no snapshot.
@@ -94,6 +98,33 @@ def canonical_json(value: Any) -> str:
     return "".join(_ENCODE(value, 0))
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# Each op name, encoded.
+_OP_TOKENS: dict[str, bytes] = {}
+# A whole audit.append line, its args' keys in canonical order.
+_AUDIT_LINE = ('{"args":{"actor":%s,"detail":%s,"event":%s},'
+               '"op":"audit.append","seq":%d,"when":%d}\n')
+
+
+def _line(record: dict) -> bytes:
+    """canonical_json(record) and a newline, as ASCII bytes."""
+    op, args = record["op"], record["args"]
+    if op == "audit.append" and len(args) == 3:
+        try:
+            return (_AUDIT_LINE % (
+                _encode_str(args["actor"]), _encode_str(args["detail"]),
+                _encode_str(args["event"]), record["seq"], record["when"])
+            ).encode("ascii")
+        except (KeyError, TypeError):  # other keys, or not strings
+            pass
+    token = _OP_TOKENS.get(op)
+    if token is None:
+        token = _OP_TOKENS[op] = canonical_json(op).encode("ascii")
+    return b'{"args":%s,"op":%s,"seq":%d,"when":%d}\n' % (
+        canonical_json(args).encode("ascii"), token,
+        record["seq"], record["when"])
+
+
 def validate_record(record: Any) -> dict:
     if not isinstance(record, dict) or set(record) != _RECORD_KEYS:
         raise CorruptJournal(f"malformed record: {record!r}")
@@ -135,18 +166,17 @@ class Journal:
 
     def append(self, record: dict) -> None:
         """Write one record of the shape validate_record accepts."""
-        line = b'{"args":%s,"op":%s,"seq":%d,"when":%d}\n' % (
-            canonical_json(record["args"]).encode("ascii"),
-            canonical_json(record["op"]).encode("ascii"),
-            record["seq"], record["when"])
+        line = _line(record)
         if self.path is None:
             self._lines.append(line)
             return
         f = self._ensure_open()
-        data = memoryview(line)
         try:
-            while data:
-                data = data[f.write(data):]
+            written = f.write(line)
+            if written != len(line):  # a short write: finish it
+                data = memoryview(line)[written:]
+                while data:
+                    data = data[f.write(data):]
         except BaseException:
             # Cut off a part-written line, so the next append starts on a
             # record boundary; were the cut to fail, the reopen retries it.

@@ -173,6 +173,34 @@ def test_snapshot_body_of_a_session_matches_json_dumps(tmp_path):
         zone.close()
 
 
+@pytest.mark.parametrize("on_disk", [True, False], ids=["file", "memory"])
+def test_audit_lines_in_and_out_of_their_template_match_json_dumps(
+        tmp_path, on_disk):
+    """An audit.append whose args are the three strings of an audit
+    entry fills a fixed template; any other args, and any other op, go
+    through canonical_json. Both give json.dumps's bytes."""
+    rng = random.Random(35)
+    args = [{"actor": random_text(rng), "event": random_text(rng),
+             "detail": random_text(rng)} for _ in range(200)]
+    args += [{"actor": "a", "event": "e", "detail": 7},
+             {"actor": "a", "event": "e", "detail": None},
+             {"actor": "a", "event": ["e"], "detail": "d"},
+             {"actor": "a", "event": "e", "detail": "d", "when": 5},
+             {"actor": "a", "event": "e", "extra": "d"},
+             {"actor": "a", "event": "e"}, {}]
+    records = [{"seq": seq, "op": op, "args": a, "when": -seq}
+               for seq, a in enumerate(args, 1)
+               for op in ("audit.append", "audit.appendix")]
+    want = [reference(record) + "\n" for record in records]
+    j = Journal(tmp_path if on_disk else None)
+    for record in records:
+        j.append(record)
+    got = ((tmp_path / JOURNAL_NAME).read_bytes() if on_disk
+           else b"".join(j._lines))
+    assert got.decode("ascii").splitlines(keepends=True) == want
+    j.close()
+
+
 # -- an encoding that fails ------------------------------------------------
 
 @pytest.mark.parametrize("on_disk", [True, False], ids=["file", "memory"])

@@ -19,6 +19,7 @@ from pgzone.errors import (
     NoSuchRule,
     NoSuchUser,
     PermissionDenied,
+    ZoneError,
 )
 from pgzone.journal import SNAPSHOT_EVERY
 from pgzone.ruledsl.lexer import escape_string
@@ -691,6 +692,115 @@ def test_removing_every_object_under_a_name_empties_its_buckets():
     assert c.query_avu('name like "*"') == ["/d"]
     assert c._avu_index == {"kept": {"v": {"/d"}}}
     assert c.list_collection("/d") == ([], [])
+
+
+def outcome(lookup, *args):
+    """("ok", value) of a lookup, or the type and text of the ZoneError
+    it raised."""
+    try:
+        return "ok", lookup(*args)
+    except ZoneError as e:
+        return type(e), str(e)
+
+
+def check_lookups(c, users, resources, paths):
+    """Each view-free lookup gives what the view it stands in for gives,
+    for every name seen so far and one never made, and raises as the
+    view's getter does for a missing one."""
+    for name in users + ["ghost"]:
+        assert outcome(c.user_role, name) == \
+            outcome(lambda n: c.get_user(n).role, name)
+    for name in resources + ["ghost"]:
+        assert outcome(c.resource_location, name) == \
+            outcome(lambda n: (c.get_resource(n).driver_name,
+                               c.get_resource(n).root), name)
+    for path in sorted(paths) + ["/d/ghost", "/d"]:
+        assert outcome(c.object_owner, path) == \
+            outcome(lambda p: c.get_object(p).owner, path)
+        assert outcome(c.good_replicas, path) == outcome(
+            lambda p: [(r.resource, r.physical_ref, r.checksum)
+                       for r in c.get_object(p).replicas
+                       if r.status == "good"], path)
+
+
+def lookup_step(c, rng, users, resources, paths) -> str:
+    """One random user or resource made, object put or overwritten,
+    replica added, replica status set, or object removed; returns what
+    it did."""
+    roll = rng.random()
+    live = sorted(p for p in paths if c.object_exists(p))
+    if roll < 0.05:
+        name = f"u{len(users)}"
+        c.create_user("admin", name, rng.choice(("admin", "user")), "pw")
+        users.append(name)
+        return "user"
+    if roll < 0.1:
+        name = f"r{len(resources)}"
+        c.register_resource("admin", name, rng.choice(("mem", "localfs")),
+                            f"/blobs/{name}", "cache")
+        resources.append(name)
+        return "resource"
+    if roll < 0.45 or not live:
+        path = f"/d/o{rng.randint(0, 14)}"
+        data = rng.randbytes(rng.randint(0, 3))
+        kind = "overwrite" if c.object_exists(path) else "put"
+        c.put_object(path, rng.choice(users), rng.choice(resources),
+                     f"ref-{rng.random()}", sha256_hex(data), len(data))
+        paths.add(path)
+        return kind
+    path = rng.choice(live)
+    obj = c.get_object(path)
+    if roll < 0.65:
+        free = [r for r in resources
+                if all(rep.resource != r for rep in obj.replicas)]
+        if not free:
+            return "none"
+        c.add_replica(path, rng.choice(free), f"ref-{rng.random()}",
+                      obj.checksum, 1,
+                      rng.choice(("good", "stale", "suspect")))
+        return "replica"
+    if roll < 0.9:
+        status = rng.choice(("suspect", "stale", "good"))
+        c.set_replica_status(path, rng.choice(obj.replicas).physical_ref,
+                             status)
+        return status
+    c.remove_object(path)
+    return "remove"
+
+
+def test_view_free_lookups_match_the_views_through_reopens(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(pgzone.catalog, "SNAPSHOT_EVERY", 25)
+    rng = random.Random(35)
+    c = Catalog(tmp_path)
+    c.create_user(SYSTEM, "admin", "admin", "pw")
+    c.make_collection(SYSTEM, "/", owner="admin")
+    c.make_collection("admin", "/d")
+    users, resources, paths = ["admin"], [], set()
+    for name in ("r0", "r1"):
+        c.register_resource("admin", name, "mem", f"/blobs/{name}", "cache")
+        resources.append(name)
+    done = set()
+    for _ in range(150):
+        done.add(lookup_step(c, rng, users, resources, paths))
+        check_lookups(c, users, resources, paths)
+    assert {"user", "resource", "put", "overwrite", "replica", "suspect",
+            "stale", "good", "remove"} <= done, done
+    assert list(tmp_path.glob("snapshot-*.json"))
+
+    for reopen in ("from a snapshot", "from the journal alone"):
+        want = c.data_state_digest()
+        c.close()
+        if reopen == "from the journal alone":
+            for p in tmp_path.glob("snapshot-*.json"):
+                p.unlink()
+        c = Catalog(tmp_path)
+        assert c.data_state_digest() == want, reopen
+        check_lookups(c, users, resources, paths)
+        for _ in range(60):
+            lookup_step(c, rng, users, resources, paths)
+            check_lookups(c, users, resources, paths)
+    c.close()
 
 
 # ---------------------------------------------------------------------------

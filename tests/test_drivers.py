@@ -289,3 +289,13 @@ def test_fault_driver_fail_unlink():
         driver.unlink(ref)
     driver.fail_unlink = False
     driver.unlink(ref)
+
+
+def test_fault_driver_fail_reads():
+    driver = FaultDriver(MemDriver(), fail_reads=True)
+    ref = driver.new_ref("/r")
+    driver.store(ref, b"x")
+    with pytest.raises(DriverError):
+        driver.read_all(ref)
+    driver.fail_reads = False
+    assert driver.read_all(ref) == b"x"

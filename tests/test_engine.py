@@ -14,6 +14,7 @@ from pgzone.drivers import ArchiveDriver, LocalFsDriver, MemDriver
 import pgzone.engine
 from pgzone.engine import PEP_NAMES, PEP_OPS
 from pgzone.errors import (
+    AllReplicasSuspect,
     ChecksumMismatch,
     CorruptJournal,
     Denied,
@@ -499,6 +500,36 @@ def test_replicate_readback_catches_corruption(zone, fail_unlink):
     assert len(bad.inner.blobs) == (1 if fail_unlink else 0)
 
 
+def test_a_get_fails_over_from_a_replica_its_driver_cannot_read(zone):
+    """A get reads a path's good replicas in order: one whose driver
+    fails is marked suspect and the next is read; when every one fails,
+    the get raises AllReplicasSuspect and leaves each marked suspect."""
+    drivers = {}
+    for name in ("f1", "f2"):
+        drivers[name] = FaultDriver(MemDriver())
+        zone.register_driver(ADMIN, name, drivers[name])
+        zone.ensure_resource(SYSTEM, f"r{name}", name, f"/blobs/{name}",
+                             "cache")
+    add_user(zone, "u")
+    for path in ("/home/u/one", "/home/u/both"):
+        zone.engine.put("u", path, b"payload", "rf1")
+        zone.engine.replicate("u", path, "rf2")
+
+    def statuses(path):
+        return [(r.resource, r.status)
+                for r in zone.catalog.get_object(path).replicas]
+
+    drivers["f1"].fail_reads = True
+    assert zone.engine.get("u", "/home/u/one") == b"payload"
+    assert statuses("/home/u/one") == [("rf1", "suspect"), ("rf2", "good")]
+
+    drivers["f2"].fail_reads = True
+    with pytest.raises(AllReplicasSuspect):
+        zone.engine.get("u", "/home/u/both")
+    assert statuses("/home/u/both") == [("rf1", "suspect"),
+                                        ("rf2", "suspect")]
+
+
 def test_stage_and_archive_enforce_resource_kind(zone):
     zone.ensure_resource(SYSTEM, "tape", "archive", "/blobs/tape", "archive")
     zone.ensure_resource(SYSTEM, "fast", "mem", "/blobs/fast", "cache")
@@ -707,7 +738,6 @@ def test_path_lock_entry_goes_only_while_its_lock_is_dead(zone):
 
 
 def test_all_replicas_suspect(zone):
-    from pgzone.errors import AllReplicasSuspect
     add_user(zone, "u")
     zone.engine.put("u", "/home/u/f", b"payload")
     corrupt_replica(zone, "/home/u/f", "main")

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from pgzone import catalog as catalog_module
 from pgzone import errors
 from pgzone.common import now_us
 from pgzone.gateway import server as server_module
@@ -492,6 +493,41 @@ def test_a_route_that_waits_does_not_delay_a_ping(gw, admin_client):
     finally:
         httpd.shutdown()
         httpd.server_close()
+
+
+def test_a_login_does_not_delay_a_ping(monkeypatch):
+    """A login leaves the loop's thread before its key derivation: with
+    the watcher slowed to 5 s, nothing else can hand it off, and a
+    derivation that takes a second still lets a ping through."""
+    monkeypatch.setattr(server_module, "HANDOFF", 5.0)
+    check = catalog_module._check_secret
+
+    def slow_check(secret, stored):
+        time.sleep(1.0)
+        return check(secret, stored)
+
+    monkeypatch.setattr(catalog_module, "_check_secret", slow_check)
+    zone = make_zone()
+    gw = GatewayServer(zone, host="127.0.0.1", port=0).start()
+    try:
+        tokens = []
+
+        def login():
+            with ZoneClient(gw.url) as client:
+                tokens.append(client.login(ADMIN, ADMIN_SECRET))
+        thread = threading.Thread(target=login)
+        start = time.monotonic()
+        thread.start()
+        time.sleep(0.2)  # the login is in its key derivation
+        with ZoneClient(gw.url) as other:
+            assert other.ping()["zone"]
+            assert time.monotonic() - start < 0.5
+        thread.join(10)
+        assert time.monotonic() - start > 1.0
+        assert tokens and tokens[0]
+    finally:
+        gw.shutdown()
+        zone.close()
 
 
 def serve_once(answer: bytes):

@@ -129,6 +129,28 @@ def test_run_exported_as_json_object(zone):
     assert zone.provenance.run_record(rec["run_id"]) == rec
 
 
+def test_a_returned_run_record_is_the_callers_to_change(zone):
+    """Provenance.run and Catalog.run hand out copies: changing one, to
+    its nested dicts and lists, changes neither the stored record nor
+    the state's digest."""
+    coll, wf_id = attach_stamp(zone)
+    put_input(zone)
+    rec = run_stamp(zone, coll, wf_id)
+    stored = json.loads(json.dumps(zone.catalog.run(rec["run_id"])))
+    digest = zone.catalog.data_state_digest()
+    for copy in (rec, zone.catalog.run(rec["run_id"]),
+                 zone.provenance.run_record(rec["run_id"])):
+        copy["status"] = "changed"
+        copy["bindings"]["n"] = -1
+        copy["inputs"].clear()
+        copy["outputs"]["/elsewhere"] = "0" * 64
+        assert zone.catalog.run(rec["run_id"]) == stored
+        assert zone.catalog.data_state_digest() == digest
+    orphans = zone.catalog.orphans()
+    orphans.append({"path": "/x"})
+    assert zone.catalog.orphans() == []
+
+
 def test_relative_paths_resolve_against_collection(zone):
     coll = make_wf_coll(zone)
     wf = zone.provenance.attach(ADMIN, coll, '''
