@@ -12,8 +12,9 @@ file with one unbuffered write per record, no fsync; a fresh directory
 for each process). The journal has no fsync mode, so "fsynced" is not
 measured. A process reports the median per call, scaled to the
 reference speed (bench/common.py), which leaves out the calls that also
-write a snapshot. Every process of a mode must journal the same
-records, time stamps and the salted secret aside. Rows are named
+write a snapshot. Every process of a mode must journal the same state
+records and audit entries, in whichever file each source keeps them,
+seqs, time stamps and the salted secret aside. Rows are named
 audit_append.MODE and object_put.MODE; the sources' processes of a
 repeat run back to back, and the result holds each row's median and
 runs, and its ratios paired by repeat.
@@ -53,9 +54,10 @@ def object_put(i):
 us = {name: median_us([lambda i=i: commit(i) for i in range(calls)])
       for name, commit in (("audit_append", audit_append),
                            ("object_put", object_put))}
-records = [[r["seq"], r["op"], {k: v for k, v in r["args"].items()
-                                 if k != "when"}]
-           for r in catalog.records() if r["op"] != "user.create"]
+records = [[r["op"], r["args"]] for r in catalog.records()
+           if r["op"] not in ("user.create", "audit.append")]
+records += [[e.actor, e.event, e.detail]
+            for e in catalog.audit_query("admin")]
 catalog.close()
 report(us, {"records": len(records),
             "digest": hashlib.sha256(json.dumps(

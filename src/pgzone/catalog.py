@@ -7,16 +7,25 @@ append changes nothing. The journal is the only record of the commits:
 records() reads it back. Replaying records 1..k from an empty catalog
 reproduces the state after the k-th mutation exactly. A snapshot of the
 state is written every SNAPSHOT_EVERY mutations, and the journal keeps
-only the newest two. Recovery loads the latest snapshot, then parses
-and applies only the journal records after it. Damage to a record the
-snapshot covers therefore does not fail the open: a malformed one
-raises CorruptJournal when records(), audit_query() or state_dict()
-parse the whole journal, and a seq out of order when
-Catalog.replay(records()) checks the seqs. A snapshot that fails with
-an OSError is logged and skipped: the commit it follows stands, and the
-next boundary writes one. The audit trail is never held in memory:
-audit_query() and state_dict() read the audit.append records from the
-journal.
+only the newest two. Recovery loads the latest snapshot that passes its
+check, then parses and applies only the journal records after it.
+Damage to a record the snapshot covers therefore does not fail the
+open: a malformed one raises CorruptJournal when records(),
+audit_query() or state_dict() parse the whole journal, and a seq out of
+order when Catalog.replay(records()) checks the seqs. A snapshot that
+fails with an OSError is logged and skipped: the commit it follows
+stands, and the next boundary writes one.
+
+The audit trail is no mutation and is never held in memory. Each entry
+is one line of a journal of its own (audit.log), with the trail's own
+seq, one past the last; a reopen reads only its last whole line. A zone
+written before audit.log holds its older entries as audit.append
+records of the main journal, which a replay accepts and skips; its
+audit.log then starts one past the main journal's seq at that open, so
+the trail's seqs stay unique and increasing. audit_query() and
+state_dict() read the main journal's entries, then audit.log, each below
+the end it had under the lock; they parse outside it. A malformed record
+of either file that a reopen did not parse shows there.
 
 A snapshot reuses the serialized text of each object, triple list and
 run that has not changed since the last snapshot; a commit drops the
@@ -88,7 +97,8 @@ from .errors import (
     UnknownDriver,
     ZoneError,
 )
-from .journal import Journal, canonical_json, validate_record, SNAPSHOT_EVERY
+from .journal import (AUDIT_NAME, SNAPSHOT_EVERY, Journal, canonical_json,
+                      validate_record)
 from .ruledsl.lexer import TOKEN_RE, unescape
 
 log = logging.getLogger("pgzone.catalog")
@@ -309,6 +319,23 @@ def _json_copy(value):
     return value
 
 
+_AUDIT_FIELDS = frozenset(("actor", "event", "detail"))
+
+
+def _audit_entry(rec: dict) -> dict:
+    """The entry of an audit.append record. Its time is the record's own
+    `when`; records written before it was the only one carry theirs in
+    args["when"]."""
+    a = rec["args"]
+    try:
+        return {"seq": rec["seq"], "when": a.get("when", rec["when"]),
+                "actor": a["actor"], "event": a["event"],
+                "detail": a["detail"]}
+    except KeyError as e:
+        raise CorruptJournal(f"malformed audit.append at seq {rec['seq']}: "
+                             f"no {e}") from e
+
+
 def _hash_secret(secret: str) -> str:
     salt = os.urandom(16)
     digest = hashlib.pbkdf2_hmac(
@@ -340,6 +367,7 @@ class Catalog:
         self._driver_names = driver_names
         self._reset_state()
         self._journal = Journal(journal_dir)
+        self._audit = Journal(journal_dir, AUDIT_NAME)
         self._recover()
 
     def _reset_state(self) -> None:
@@ -395,11 +423,12 @@ class Catalog:
                 log.error("snapshot at seq %d not written: %s", seq, e)
 
     def _recover(self) -> None:
-        """The one replay loop: load the latest snapshot, then parse and
-        apply only the journal records after its seq S, which must run
-        S+1..n. The records up to S are not parsed here."""
+        """The one replay loop: load the latest snapshot that passes its
+        check, then parse and apply only the journal records after its seq
+        S, which must run S+1..n. The records up to S are not parsed here.
+        Then restore the audit seq from audit.log's last whole line."""
         start = 0
-        snap = self._journal.latest_snapshot()
+        snap = self._journal.latest_snapshot(fall_back=True)
         if snap is not None:
             start, state = snap
             self._load_state(state)
@@ -414,6 +443,8 @@ class Catalog:
                 raise CorruptJournal(
                     f"replay failed at seq {seq}: {e}") from e
         self._seq = start + len(records)
+        last = self._audit.last_record()
+        self._audit_seq = self._seq if last is None else last["seq"]
 
     @classmethod
     def replay(cls, records: Iterable[dict]) -> "Catalog":
@@ -432,6 +463,7 @@ class Catalog:
     def close(self) -> None:
         with self._lock:
             self._journal.close()
+            self._audit.close()
 
     # -- state serialization ----------------------------------------------
 
@@ -457,9 +489,10 @@ class Catalog:
     def state_dict(self) -> dict:
         """Full state as a JSON-able tree; the caller owns it."""
         with self._lock:
-            state = self._state()
-            state["audit"] = self._audit_trail()
-            return json.loads(json.dumps(state))
+            state = json.loads(json.dumps(self._state()))
+            ends = self._audit_ends()
+        state["audit"] = self._audit_trail(ends)
+        return state
 
     def data_state_digest(self) -> str:
         """Digest of everything except the audit trail and sequence counter
@@ -471,7 +504,7 @@ class Catalog:
 
     def _load_state(self, state: dict) -> None:
         """Adopt a snapshot's state. An "audit" key, which snapshots once
-        held, is ignored: the trail is read from the journal."""
+        held, is ignored: the trail is read from its files."""
         self._seq = state["last_seq"]
         self._users = state["users"]
         self._resources = state["resources"]
@@ -830,38 +863,49 @@ class Catalog:
     # -- audit -------------------------------------------------------------
 
     def audit_append(self, actor: str, event: str, detail: str) -> None:
-        """Internal: called by the engine and catalog, never by clients."""
+        """Internal: called by the engine and catalog, never by clients.
+        One line of audit.log, with the trail's next seq; no commit."""
         with self._lock:
-            self._commit("audit.append", {
-                "actor": actor, "event": event, "detail": detail,
-            })
+            seq = self._audit_seq + 1
+            self._audit.append({
+                "seq": seq, "op": "audit.append",
+                "args": {"actor": actor, "event": event, "detail": detail},
+                "when": now_us()})
+            self._audit_seq = seq
 
     def audit_query(self, caller: str, t_lo: int | None = None,
                     t_hi: int | None = None, event: str | None = None,
                     actor: str | None = None) -> list[AuditEntry]:
         with self._lock:
             self._require_admin(caller)
-            trail = self._audit_trail()
-        return [AuditEntry(**e) for e in trail
+            ends = self._audit_ends()
+        return [AuditEntry(**e) for e in self._audit_trail(ends)
                 if (t_lo is None or e["when"] >= t_lo)
                 and (t_hi is None or e["when"] < t_hi)
                 and (event is None or e["event"] == event)
                 and (actor is None or e["actor"] == actor)]
 
-    def _audit_trail(self) -> list[dict]:
-        """Every audit entry, read from the journal. A reopen parses no
-        record up to the snapshot's seq, so a malformed one shows here.
-        Caller holds lock."""
-        trail = []
-        for rec in self._journal.read_records():
-            if rec["op"] == "audit.append":
-                try:
-                    trail.append(self._apply_audit_append(
-                        rec["args"], rec["seq"], rec["when"]))
-                except KeyError as e:
-                    raise CorruptJournal(
-                        f"malformed audit.append at seq {rec['seq']}: "
-                        f"no {e}") from e
+    def _audit_ends(self) -> tuple[int, int]:
+        """Where the whole records of the main journal and of audit.log
+        end. Caller holds lock."""
+        return self._journal.end(), self._audit.end()
+
+    def _audit_trail(self, ends: tuple[int, int]) -> list[dict]:
+        """Every audit entry below the ends _audit_ends took: the main
+        journal's, then audit.log's, whose seqs must be contiguous. A
+        reopen parses neither file whole, so a malformed record shows here.
+        Needs no lock."""
+        journal_end, audit_end = ends
+        trail = [_audit_entry(rec)
+                 for rec in self._journal.read_to(journal_end)
+                 if rec["op"] == "audit.append"]
+        records = self._audit.read_to(audit_end)
+        for i, rec in enumerate(records):
+            if rec["op"] != "audit.append" or \
+                    i and rec["seq"] != records[i - 1]["seq"] + 1:
+                raise CorruptJournal(f"{AUDIT_NAME} line {i + 1} holds "
+                                     f"{rec['op']} at seq {rec['seq']}")
+            trail.append(_audit_entry(rec))
         return trail
 
     # -- objects (engine-mediated: authorization happens in the engine) ----
@@ -1251,14 +1295,11 @@ class Catalog:
                 {"path": a["path"], "name": name, "value": value,
                  "comment": ""}, seq)
 
-    def _apply_audit_append(self, a: dict, seq: int,
-                            when: int | None = None) -> dict:
-        """The record's audit entry, kept nowhere: _audit_trail reads the
-        trail from the journal. A malformed record fails a replay here.
-        The entry's time is the record's own `when`; records written
-        before it was the only one carry theirs in args["when"]."""
-        return {"seq": seq, "when": a.get("when", when), "actor": a["actor"],
-                "event": a["event"], "detail": a["detail"]}
+    def _apply_audit_append(self, a: dict, seq: int) -> None:
+        """An audit.append of the main journal, as zones wrote them before
+        audit.log: it changes no state. A malformed one fails a replay."""
+        if not _AUDIT_FIELDS <= a.keys():
+            raise CorruptJournal(f"malformed audit.append at seq {seq}")
 
 
 _APPLY = {

@@ -1,19 +1,24 @@
-"""Append-only journal with periodic full-state snapshots.
+"""Append-only journals with periodic full-state snapshots.
 
-The journal is the catalog's only record of its commits: the catalog
-appends each record before it applies it, and `Catalog.records()` reads
-the records back from here.
+A journal directory holds two journals. journal.log is the catalog's
+only record of its commits: the catalog appends each record before it
+applies it, and `Catalog.records()` reads the records back from it.
+audit.log holds the audit trail, one audit.append record per entry,
+with the trail's own seq; an entry changes no state, so no reopen
+replays it. Zones written before audit.log kept their audit.append
+records in journal.log, in its seq space; those records stay there.
 
 Layout inside the journal directory:
 
   journal.log          one JSON object per line, canonical_json(record):
                        {"args":{...},"op":"...","seq":n,"when":us}
+  audit.log            the same line shape, op "audit.append", args
+                       {"actor","detail","event"}; seqs contiguous
   snapshot-<seq>.json  {"seq":S,"state":BODY,"state_hash":H,"when":W}
                        with BODY the canonical JSON of the state the
-                       caller hands over as of seq S, and H its sha256,
-                       checked over BODY's bytes as read; it holds no
-                       audit trail, whose only copy is the audit.append
-                       records of journal.log
+                       caller hands over as of journal.log's seq S, and
+                       H its sha256, checked over BODY's bytes as read;
+                       it holds no audit trail
 
 A snapshot need not serialize the whole state afresh: the caller may
 hand over, for some sections, the serialized text of each entry, kept
@@ -25,14 +30,13 @@ Every text here is canonical JSON: sorted keys, no spaces, ASCII only,
 the bytes of json.dumps(value, sort_keys=True, separators=(",", ":"),
 ensure_ascii=True). canonical_json encodes with the one C encoder made
 at import, not with a new encoder per call as json.dumps does. A line
-of journal.log encodes only the record's args; its op, encoded once per
-op name into a token table, and its seq and when follow them in one %
-format. The args of an audit.append, three strings under fixed keys,
-fill one fixed template of three encoded strings instead; any other
-args go through canonical_json. Canonical JSON sorts the four keys as
-args, op, seq, when, so the line has the same bytes as
-canonical_json(record). A line goes to the file in one write; only a
-short write loops.
+encodes only the record's args; its op, encoded once per op name into
+a token table, and its seq and when follow them in one % format. The
+args of an audit.append, three strings under fixed keys, fill one fixed
+template of three encoded strings instead; any other args go through
+canonical_json. Canonical JSON sorts the four keys as args, op, seq,
+when, so the line has the same bytes as canonical_json(record). A line
+goes to the file in one write; only a short write loops.
 
 A journal made without a directory keeps its lines in a list and writes
 no snapshot.
@@ -42,7 +46,9 @@ parses only the records after the snapshot's seq S. It finds where
 record S ends by bisecting the line starts of journal.log, parsing one
 line per probe, and raises unless a line there holds record S; the
 records up to S are parsed only by read_records() without an argument,
-which records(), the audit trail and state_dict() use. The lines read are
+which records() uses, and by read_to(). The audit journal is opened
+with last_record(), which reads the file back from its end only as far
+as its last whole line. The lines read are
 parsed with one json.loads; only when that fails does a per-line parse
 find the fault. A torn final line (the mark of a crash mid-append: it
 lacks its newline or does not parse) is dropped and cut off before the
@@ -51,10 +57,18 @@ corrupt. The caller checks that the sequence numbers it reads are
 contiguous. An append that fails leaves the file as it was before the
 append.
 
+end() and read_to() read a journal without the caller's lock: end(),
+taken under it, is where the whole records end, and read_to(end) parses
+the records below it after the lock is let go. Appends only add bytes
+past it, and the only cuts, of a failed append or a torn tail, lie at
+or past it too.
+
 A snapshot is written to snapshot-<seq>.tmp and renamed into place. Only
 then are all but the newest KEEP_SNAPSHOTS snapshots deleted, together
 with any .tmp file a kill left behind. A snapshot that fails deletes
-nothing and leaves no temporary file behind.
+nothing and leaves no temporary file behind. A reopen that finds the
+newest snapshot damaged may fall back to the one before it, then to
+seq 0: journal.log is never cut below a snapshot.
 """
 
 from __future__ import annotations
@@ -72,6 +86,7 @@ from .errors import CorruptJournal
 log = logging.getLogger("pgzone.journal")
 
 JOURNAL_NAME = "journal.log"
+AUDIT_NAME = "audit.log"
 SNAPSHOT_EVERY = 1000
 KEEP_SNAPSHOTS = 2
 
@@ -138,20 +153,22 @@ def validate_record(record: Any) -> dict:
 
 class Journal:
     """File-backed journal, or an in-memory one when directory is None.
-    All methods assume the caller serializes."""
+    All methods but read_to assume the caller serializes."""
 
-    def __init__(self, directory: str | Path | None = None):
+    def __init__(self, directory: str | Path | None = None,
+                 name: str = JOURNAL_NAME):
         self.dir = self.path = None
         # The lines, each with its newline, of an in-memory journal.
         self._lines: list[bytes] = []
         self._file = None
-        # Bytes of whole records in journal.log, once read_records or the
-        # first append has looked; the file is cut back to this on reopen.
+        # Bytes of whole records in the file, once read_records,
+        # last_record or the first append has looked; the file is cut
+        # back to this on reopen.
         self._end: int | None = None
         if directory is not None:
             self.dir = Path(directory)
             self.dir.mkdir(parents=True, exist_ok=True)
-            self.path = self.dir / JOURNAL_NAME
+            self.path = self.dir / name
 
     # -- write side -----------------------------------------------------
 
@@ -258,6 +275,82 @@ class Journal:
                                 for line in lines[:len(records)])
         return records
 
+    def last_record(self) -> dict | None:
+        """The record of the last whole line, or None when there is none.
+        The file is read back from its end only as far as the start of the
+        line before that record's, since a torn tail may hide it; a
+        malformed line other than a torn tail raises. The next append
+        cuts off whatever follows that record."""
+        if self.path is None:
+            return json.loads(self._lines[-1]) if self._lines else None
+        try:
+            f = open(self.path, "rb")
+        except FileNotFoundError:
+            self._end = 0
+            return None
+        with f:
+            size = f.seek(0, os.SEEK_END)
+            chunk = 1 << 12
+            while True:
+                begin = max(0, size - chunk)
+                f.seek(begin)
+                data = f.read(size - begin)
+                # Three newlines bound two whole lines and the torn tail.
+                if begin == 0 or data.count(b"\n") >= 3:
+                    break
+                chunk *= 4
+        lines = data.split(b"\n")
+        tail = lines.pop()
+        if begin:
+            del lines[0]  # the part of a line before the bytes read
+        record = _record_or_none(lines[-1]) if lines else None
+        if record is None and lines and not tail:
+            tail = lines.pop() + b"\n"  # a torn tail with its newline
+            record = _record_or_none(lines[-1]) if lines else None
+        if record is None and lines:
+            raise CorruptJournal(f"malformed line before the end of "
+                                 f"{self.path.name}")
+        self._end = size - len(tail)
+        return record
+
+    def end(self) -> int:
+        """Where the whole records end: a byte offset into the file, or a
+        count of lines in memory. Take it under the lock that serializes
+        appends, and hand it to read_to."""
+        if self.path is None:
+            return len(self._lines)
+        if self._end is None:
+            self.last_record()
+        return self._end
+
+    def read_to(self, end: int) -> list[dict]:
+        """Parse the records below `end`, which end() gave; every line
+        there must hold a whole record. Nothing here changes, so the caller
+        need not hold the lock: what other threads append or cut lies past
+        `end`."""
+        if not end:
+            return []
+        if self.path is None:
+            data = b"".join(self._lines[:end])
+        else:
+            try:
+                with open(self.path, "rb") as f:
+                    data = f.read(end)
+            except FileNotFoundError:
+                data = b""
+            if len(data) < end:
+                raise CorruptJournal(f"{self.path.name} is shorter than "
+                                     f"its {end} bytes of records")
+        lines = data.split(b"\n")
+        lines.pop()  # b"": end lies on a line boundary
+        records = _parse_at_once(lines)
+        if records is None:
+            records = _parse_each(lines, b"")
+            if len(records) < len(lines):
+                raise CorruptJournal(
+                    f"malformed journal line {len(lines)}")
+        return records
+
     def _snapshots(self) -> list[tuple[int, Path]]:
         """(seq, path) of each snapshot file, oldest first."""
         found = []
@@ -268,36 +361,48 @@ class Journal:
                 continue
         return sorted(found)
 
-    def latest_snapshot(self) -> tuple[int, dict] | None:
+    def latest_snapshot(self, fall_back: bool = False
+                        ) -> tuple[int, dict] | None:
         """Return (seq, state) of the newest snapshot file. The file must
         have exactly the layout write_snapshot gives it, and its hash is
-        checked over the state's bytes as read, before they are parsed."""
+        checked over the state's bytes as read, before they are parsed.
+        One that fails raises CorruptJournal; with fall_back, it is logged
+        and the next older one is tried, and None returned when none
+        passes."""
         if self.dir is None:
             return None
-        snapshots = self._snapshots()
-        if not snapshots:
-            return None
-        best_seq, best_path = snapshots[-1]
-        try:
-            data = best_path.read_bytes()
-        except OSError as e:
-            raise CorruptJournal(f"unreadable snapshot {best_path.name}: {e}")
-        prefix = b'{"seq":%d,"state":' % best_seq
-        # rfind: the state may itself hold a "state_hash" key.
-        cut = data.rfind(b',"state_hash":"')
-        suffix = _SNAPSHOT_SUFFIX.fullmatch(data, cut) \
-            if cut >= len(prefix) else None
-        body = data[len(prefix):cut]
-        if not data.startswith(prefix) or suffix is None \
-                or sha256_hex(body) != suffix[1].decode("ascii"):
-            raise CorruptJournal(f"snapshot hash mismatch in {best_path.name}")
-        try:
-            state = json.loads(body)
-        except ValueError as e:
-            raise CorruptJournal(f"unreadable snapshot {best_path.name}: {e}")
-        if not isinstance(state, dict):
-            raise CorruptJournal(f"malformed snapshot {best_path.name}")
-        return best_seq, state
+        for seq, path in reversed(self._snapshots()):
+            try:
+                return seq, _read_snapshot(seq, path)
+            except CorruptJournal as e:
+                if not fall_back:
+                    raise
+                log.error("%s; reopening from an older snapshot or "
+                          "seq 0", e)
+        return None
+
+
+def _read_snapshot(seq: int, path: Path) -> dict:
+    try:
+        data = path.read_bytes()
+    except OSError as e:
+        raise CorruptJournal(f"unreadable snapshot {path.name}: {e}")
+    prefix = b'{"seq":%d,"state":' % seq
+    # rfind: the state may itself hold a "state_hash" key.
+    cut = data.rfind(b',"state_hash":"')
+    suffix = _SNAPSHOT_SUFFIX.fullmatch(data, cut) \
+        if cut >= len(prefix) else None
+    body = data[len(prefix):cut]
+    if not data.startswith(prefix) or suffix is None \
+            or sha256_hex(body) != suffix[1].decode("ascii"):
+        raise CorruptJournal(f"snapshot hash mismatch in {path.name}")
+    try:
+        state = json.loads(body)
+    except ValueError as e:
+        raise CorruptJournal(f"unreadable snapshot {path.name}: {e}")
+    if not isinstance(state, dict):
+        raise CorruptJournal(f"malformed snapshot {path.name}")
+    return state
 
 
 def _memoized_json(state: dict, memo: dict[str, dict[str, str]]) -> str:
@@ -339,6 +444,13 @@ def _parse_at_once(lines: list[bytes]) -> list[dict] | None:
     except CorruptJournal:
         return None
     return records
+
+
+def _record_or_none(line: bytes) -> dict | None:
+    try:
+        return validate_record(json.loads(line))
+    except (ValueError, CorruptJournal):
+        return None
 
 
 def _end_of_record(data: bytes, seq: int) -> int:

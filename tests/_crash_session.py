@@ -1,9 +1,9 @@
 """Subprocess half of the crash-recovery test.
 
 Runs a random catalog session, dumps the expected state to a shadow
-file, appends a torn half-record to the journal, and dies with
-os._exit so no close/flush hooks run. The parent reopens the journal
-directory and compares.
+file, appends a torn half-record to the journal and to the audit
+trail's file, and dies with os._exit so no close/flush hooks run. The
+parent reopens the journal directory and compares.
 
 Usage: python _crash_session.py JOURNAL_DIR SHADOW_FILE SEED [N_OPS]
 """
@@ -52,8 +52,8 @@ def run_session(cat: Catalog, rng: random.Random, n_ops: int) -> None:
             target = rng.choice(paths)
             cat.remove_object(target)
             paths.remove(target)
-        elif roll < 0.60:
-            cat.audit_append(rng.choice(["admin", "u1"]), "noise", str(i))
+        elif roll < 0.60:  # a state record that changes nothing
+            cat.set_acl("admin", "/data", "admin", "own")
         elif roll < 0.65:
             cat.set_acl("admin", rng.choice(colls), "u1",
                         rng.choice(["read", "write", "own"]))
@@ -109,11 +109,15 @@ def main() -> None:
         fh.flush()
         os.fsync(fh.fileno())
 
-    # A write torn mid-record: no trailing newline, not valid JSON.
-    with open(os.path.join(journal_dir, "journal.log"), "ab") as fh:
-        fh.write(b'{"seq": 999999, "op": "object.put", "args": {"pa')
-        fh.flush()
-        os.fsync(fh.fileno())
+    # Writes torn mid-record: no trailing newline, not valid JSON.
+    for name, torn in (
+            ("journal.log", b'{"seq": 999999, "op": "object.put", "args": '
+                            b'{"pa'),
+            ("audit.log", b'{"args":{"actor":"admin","detail":"torn')):
+        with open(os.path.join(journal_dir, name), "ab") as fh:
+            fh.write(torn)
+            fh.flush()
+            os.fsync(fh.fileno())
 
     os._exit(3)  # hard kill: no close(), no atexit
 

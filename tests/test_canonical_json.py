@@ -14,7 +14,7 @@ import pytest
 
 from pgzone.common import SYSTEM, sha256_hex
 from pgzone.errors import Denied
-from pgzone.journal import JOURNAL_NAME, Journal, canonical_json
+from pgzone.journal import AUDIT_NAME, JOURNAL_NAME, Journal, canonical_json
 from pgzone.streams import pack_records
 
 from conftest import ADMIN, add_user, make_zone
@@ -114,14 +114,14 @@ def run_session(zone) -> None:
     assert zone.provenance.run(ADMIN, wf["id"], {"n": -7})["status"] == "ok"
 
 
-def record_references(monkeypatch) -> list[str]:
-    """The reference line of every record Journal.append is handed,
-    made before append sees the record."""
-    lines: list[str] = []
+def record_references(monkeypatch) -> dict[Journal, list[str]]:
+    """The reference line of every record Journal.append is handed, by
+    journal, made before append sees the record."""
+    lines: dict[Journal, list[str]] = {}
     append = Journal.append
 
     def spy(self, record):
-        lines.append(reference(record) + "\n")
+        lines.setdefault(self, []).append(reference(record) + "\n")
         return append(self, record)
 
     monkeypatch.setattr(Journal, "append", spy)
@@ -135,17 +135,20 @@ def test_every_journal_line_of_a_session_matches_json_dumps(
     zone = make_zone(tmp_path if on_disk else None)
     try:
         run_session(zone)
-        ops = {json.loads(line)["op"] for line in want}
+        journals = zone.catalog._journal, zone.catalog._audit
+        assert set(want) == set(journals)
+        ops = {json.loads(line)["op"] for j in journals for line in want[j]}
         assert {"user.create", "user.group_add", "acl.set",
                 "collection.create",
                 "object.put", "replica.add", "avu.add", "rule.add",
                 "rule.remove", "stream.ingest", "workflow.attach",
                 "run.record", "audit.append"} <= ops, ops
-        if on_disk:
-            got = (tmp_path / JOURNAL_NAME).read_bytes()
-        else:
-            got = b"".join(zone.catalog._journal._lines)
-        assert got.decode("ascii").splitlines(keepends=True) == want
+        for j, name in zip(journals, (JOURNAL_NAME, AUDIT_NAME)):
+            if on_disk:
+                got = (tmp_path / name).read_bytes()
+            else:
+                got = b"".join(j._lines)
+            assert got.decode("ascii").splitlines(keepends=True) == want[j]
     finally:
         zone.close()
 

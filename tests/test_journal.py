@@ -272,3 +272,97 @@ def test_read_records_after_in_memory():
     assert j.read_records(after=5) == []
     with pytest.raises(CorruptJournal):
         j.read_records(after=6)
+
+
+# The audit journal's reads: its last whole record from the file's end,
+# and the records below an end taken earlier.
+
+BIG = "y" * (1 << 15)  # a line longer than last_record's first reads
+
+
+@pytest.mark.parametrize("torn", ["", '{"seq": 6, "op"', '{"seq": 6, "op"\n',
+                                  '{"seq": 6, "op": "' + BIG + "\n"],
+                         ids=["none", "torn", "torn-with-newline",
+                              "long-torn-with-newline"])
+@pytest.mark.parametrize("big", [None, 4, 5])
+def test_last_record_reads_the_last_whole_record(tmp_path, torn, big):
+    want = [rec(i, payload=BIG if i == big else "x") for i in range(1, 6)]
+    j = Journal(tmp_path)
+    for record in want:
+        j.append(record)
+    j.close()
+    with open(tmp_path / JOURNAL_NAME, "a") as f:
+        f.write(torn)
+    j = Journal(tmp_path)
+    assert j.last_record() == want[-1]
+    assert j.read_to(j.end()) == want
+    j.append(rec(6))  # cuts the torn tail off first
+    j.close()
+    assert Journal(tmp_path).read_records() == want + [rec(6)]
+
+
+@pytest.mark.parametrize("content", [None, "", '{"seq": 1, "op"',
+                                     '{"seq": 1, "op"\n'],
+                         ids=["missing", "empty", "torn", "torn-with-newline"])
+def test_last_record_of_a_file_without_a_whole_record(tmp_path, content):
+    if content is not None:
+        (tmp_path / JOURNAL_NAME).write_text(content)
+    j = Journal(tmp_path)
+    assert j.last_record() is None
+    assert j.end() == 0 and j.read_to(j.end()) == []
+    j.append(rec(1))
+    j.close()
+    assert Journal(tmp_path).read_records() == [rec(1)]
+
+
+@pytest.mark.parametrize("tail", ["", '{"seq": 4, "op"'],
+                         ids=["none", "torn"])
+def test_last_record_raises_on_a_malformed_line_before_the_tail(tmp_path,
+                                                                 tail):
+    j = Journal(tmp_path)
+    for i in range(1, 3):
+        j.append(rec(i))
+    j.close()
+    with open(tmp_path / JOURNAL_NAME, "a") as f:
+        f.write("garbage\n" + ('{"seq": 3}\n' if not tail else tail))
+    with pytest.raises(CorruptJournal, match="malformed"):
+        Journal(tmp_path).last_record()
+
+
+@pytest.mark.parametrize("on_disk", [True, False], ids=["file", "memory"])
+def test_read_to_parses_only_below_the_end_it_was_given(tmp_path, on_disk):
+    j = Journal(tmp_path if on_disk else None)
+    for i in range(1, 4):
+        j.append(rec(i))
+    end = j.end()
+    j.append(rec(4))
+    assert j.read_to(end) == [rec(1), rec(2), rec(3)]
+    assert j.read_to(j.end()) == [rec(i) for i in range(1, 5)]
+    assert j.read_to(0) == []
+    assert j.last_record() == rec(4)
+    j.close()
+
+
+def test_read_to_raises_on_a_malformed_line_below_the_end(tmp_path):
+    seven_records(tmp_path, "")
+    lines = (tmp_path / JOURNAL_NAME).read_text().splitlines(keepends=True)
+    for bad in (3, 6):
+        damaged = list(lines)
+        damaged[bad] = "garbage line\n"
+        (tmp_path / JOURNAL_NAME).write_text("".join(damaged))
+        j = Journal(tmp_path)
+        with pytest.raises(CorruptJournal, match="malformed"):
+            j.read_to(sum(len(line) for line in damaged))
+
+
+def test_latest_snapshot_falls_back_only_when_asked(tmp_path, caplog):
+    j = Journal(tmp_path)
+    j.write_snapshot(10, {"v": 1})
+    j.write_snapshot(20, {"v": 2})
+    (tmp_path / "snapshot-20.json").write_text("")
+    with pytest.raises(CorruptJournal, match="snapshot-20.json"):
+        j.latest_snapshot()
+    assert j.latest_snapshot(fall_back=True) == (10, {"v": 1})
+    assert "snapshot-20.json" in caplog.text
+    (tmp_path / "snapshot-10.json").write_text("{")
+    assert j.latest_snapshot(fall_back=True) is None
