@@ -428,7 +428,7 @@ class Catalog:
         S, which must run S+1..n. The records up to S are not parsed here.
         Then restore the audit seq from audit.log's last whole line."""
         start = 0
-        snap = self._journal.latest_snapshot(fall_back=True)
+        snap = self._journal.latest_snapshot()
         if snap is not None:
             start, state = snap
             self._load_state(state)

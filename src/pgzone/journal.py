@@ -19,6 +19,7 @@ Layout inside the journal directory:
                        caller hands over as of journal.log's seq S, and
                        H its sha256, checked over BODY's bytes as read;
                        it holds no audit trail
+  snapshot-<seq>.bad   a snapshot that failed its check at a reopen
 
 A snapshot need not serialize the whole state afresh: the caller may
 hand over, for some sections, the serialized text of each entry, kept
@@ -67,7 +68,8 @@ A snapshot is written to snapshot-<seq>.tmp and renamed into place. Only
 then are all but the newest KEEP_SNAPSHOTS snapshots deleted, together
 with any .tmp file a kill left behind. A snapshot that fails deletes
 nothing and leaves no temporary file behind. A reopen that finds the
-newest snapshot damaged may fall back to the one before it, then to
+newest snapshot damaged renames it to snapshot-<seq>.bad, which no
+prune counts or deletes, and falls back to the one before it, then to
 seq 0: journal.log is never cut below a snapshot.
 """
 
@@ -266,13 +268,7 @@ class Journal:
         else:
             data = self.path.read_bytes() if self.path.exists() else b""
         start = _end_of_record(data, after) if after else 0
-        lines = data[start:].split(b"\n")
-        tail = lines.pop()  # b"" when the file ends on a newline
-        records = _parse_at_once(lines)
-        if records is None:
-            records = _parse_each(lines, tail, after)
-        self._end = start + sum(len(line) + 1
-                                for line in lines[:len(records)])
+        records, self._end = _parse_from(data, start, after)
         return records
 
     def last_record(self) -> dict | None:
@@ -316,11 +312,11 @@ class Journal:
     def end(self) -> int:
         """Where the whole records end: a byte offset into the file, or a
         count of lines in memory. Take it under the lock that serializes
-        appends, and hand it to read_to."""
+        appends, once read_records, last_record or an append has looked,
+        and hand it to read_to."""
         if self.path is None:
             return len(self._lines)
-        if self._end is None:
-            self.last_record()
+        assert self._end is not None, "end() before the file was read"
         return self._end
 
     def read_to(self, end: int) -> list[dict]:
@@ -341,14 +337,9 @@ class Journal:
             if len(data) < end:
                 raise CorruptJournal(f"{self.path.name} is shorter than "
                                      f"its {end} bytes of records")
-        lines = data.split(b"\n")
-        lines.pop()  # b"": end lies on a line boundary
-        records = _parse_at_once(lines)
-        if records is None:
-            records = _parse_each(lines, b"")
-            if len(records) < len(lines):
-                raise CorruptJournal(
-                    f"malformed journal line {len(lines)}")
+        records, stop = _parse_from(data, 0)
+        if stop < len(data):  # a bad last line, which is no torn tail here
+            raise CorruptJournal(f"malformed journal line {len(records) + 1}")
         return records
 
     def _snapshots(self) -> list[tuple[int, Path]]:
@@ -361,24 +352,25 @@ class Journal:
                 continue
         return sorted(found)
 
-    def latest_snapshot(self, fall_back: bool = False
-                        ) -> tuple[int, dict] | None:
-        """Return (seq, state) of the newest snapshot file. The file must
-        have exactly the layout write_snapshot gives it, and its hash is
-        checked over the state's bytes as read, before they are parsed.
-        One that fails raises CorruptJournal; with fall_back, it is logged
-        and the next older one is tried, and None returned when none
-        passes."""
+    def latest_snapshot(self) -> tuple[int, dict] | None:
+        """Return (seq, state) of the newest snapshot file that passes
+        _read_snapshot's check, or None when none does. One that fails is
+        logged and renamed to snapshot-<seq>.bad, so that _prune, which
+        keeps the newest KEEP_SNAPSHOTS, never counts it in place of the
+        one loaded; then the next older one is tried."""
         if self.dir is None:
             return None
         for seq, path in reversed(self._snapshots()):
             try:
                 return seq, _read_snapshot(seq, path)
             except CorruptJournal as e:
-                if not fall_back:
-                    raise
                 log.error("%s; reopening from an older snapshot or "
                           "seq 0", e)
+                try:
+                    path.replace(path.with_suffix(".bad"))
+                except OSError as err:
+                    log.warning("damaged snapshot %s not renamed: %s",
+                                path.name, err)
         return None
 
 
@@ -425,6 +417,20 @@ def _memoized_json(state: dict, memo: dict[str, dict[str, str]]) -> str:
                   "}"]
     parts.append("}")
     return "".join(parts)
+
+
+def _parse_from(data: bytes, start: int, after: int = 0
+                ) -> tuple[list[dict], int]:
+    """The records of the lines of `data` from offset `start`, which
+    follow record `after`, and the offset where the last of them ends.
+    Only a torn final line is dropped; any other malformed line raises."""
+    lines = data[start:].split(b"\n")
+    tail = lines.pop()  # b"" when data ends on a newline
+    records = _parse_at_once(lines)
+    if records is None:
+        records = _parse_each(lines, tail, after)
+    return records, start + sum(len(line) + 1
+                                for line in lines[:len(records)])
 
 
 def _parse_at_once(lines: list[bytes]) -> list[dict] | None:

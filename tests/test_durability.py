@@ -865,9 +865,11 @@ def test_an_old_format_journal_opens_and_goes_on_with_audit_log(
 @pytest.mark.parametrize("damage", ["emptied", "truncated", "byte-flipped"])
 def test_a_damaged_newest_snapshot_falls_back_to_the_one_before(
         tmp_path, caplog, damage):
-    """The newest snapshot fails its check: the reopen logs it and loads
-    the previous snapshot, and with both damaged, replays from seq 0; the
-    journal holds every record, so the state is the same."""
+    """The newest snapshot fails its check: the reopen logs it, sets it
+    aside as .bad and loads the previous snapshot, which the zone's next
+    snapshot then keeps; with both kept snapshots damaged, it replays
+    from seq 0. The journal holds every record, so the state is the
+    same."""
     c = new_catalog(tmp_path)
     c.make_collection("admin", "/d")
     noise(c, 3 * S + 5 - len(c.records()))
@@ -900,18 +902,24 @@ def test_a_damaged_newest_snapshot_falls_back_to_the_one_before(
     with pytest.MonkeyPatch.context() as m:
         m.setattr(Catalog, "_load_state", loading)
         assert reopened_state(tmp_path) == want
+        assert f"snapshot-{3 * S}.json" in caplog.text
+
+        c = Catalog(tmp_path)  # the zone goes on to its next snapshot
+        noise(c, 4 * S - len(c.records()))
+        want = c.state_dict()
+        c.close()
+        assert snapshot_names(tmp_path) == [f"snapshot-{2 * S}.json",
+                                            f"snapshot-{3 * S}.bad",
+                                            f"snapshot-{4 * S}.json"]
+        assert reopened_state(tmp_path) == want
+
+        spoil(4 * S)
         spoil(2 * S)
         assert reopened_state(tmp_path) == want
-    assert loaded == [2 * S]
-    assert f"snapshot-{3 * S}.json" in caplog.text
+    assert loaded == [2 * S, 2 * S, 4 * S]
     assert f"snapshot-{2 * S}.json" in caplog.text
-
-    c = Catalog(tmp_path)  # and the zone goes on to its next snapshot
-    noise(c, 4 * S - len(c.records()))
-    want = c.state_dict()
-    c.close()
-    assert snapshot_names(tmp_path)[-1] == f"snapshot-{4 * S}.json"
-    assert reopened_state(tmp_path) == want
+    assert f"snapshot-{4 * S}.json" in caplog.text
+    assert not list(tmp_path.glob("snapshot-*.json"))
 
 
 def test_a_commit_completes_while_an_audit_read_parses(tmp_path,

@@ -9,6 +9,7 @@ from pgzone.journal import (
     Journal,
     SNAPSHOT_EVERY,
     canonical_json,
+    _read_snapshot,
     validate_record,
 )
 
@@ -160,7 +161,7 @@ def test_snapshot_hash_detects_tampering(tmp_path):
     doc["state"]["balance"] = 999999
     p.write_text(json.dumps(doc))
     with pytest.raises(CorruptJournal) as e:
-        j.latest_snapshot()
+        _read_snapshot(5, p)
     assert "hash" in str(e.value)
 
 
@@ -175,13 +176,13 @@ def test_snapshot_in_another_layout_is_rejected(tmp_path, edit):
     p = tmp_path / "snapshot-5.json"
     p.write_text(edit(p.read_text()))
     with pytest.raises(CorruptJournal, match="hash"):
-        j.latest_snapshot()
+        _read_snapshot(5, p)
 
 
 def test_snapshot_malformed_document(tmp_path):
     (tmp_path / "snapshot-3.json").write_text('{"not": "a snapshot"}')
     with pytest.raises(CorruptJournal):
-        Journal(tmp_path).latest_snapshot()
+        _read_snapshot(3, tmp_path / "snapshot-3.json")
 
 
 def test_snapshot_every_constant():
@@ -355,14 +356,20 @@ def test_read_to_raises_on_a_malformed_line_below_the_end(tmp_path):
             j.read_to(sum(len(line) for line in damaged))
 
 
-def test_latest_snapshot_falls_back_only_when_asked(tmp_path, caplog):
+def test_latest_snapshot_falls_back_past_a_damaged_one(tmp_path, caplog):
+    """A snapshot that fails its check is logged and renamed out of the
+    snapshots, so the next prune keeps the one loaded instead of it."""
     j = Journal(tmp_path)
     j.write_snapshot(10, {"v": 1})
     j.write_snapshot(20, {"v": 2})
     (tmp_path / "snapshot-20.json").write_text("")
-    with pytest.raises(CorruptJournal, match="snapshot-20.json"):
-        j.latest_snapshot()
-    assert j.latest_snapshot(fall_back=True) == (10, {"v": 1})
+    assert j.latest_snapshot() == (10, {"v": 1})
     assert "snapshot-20.json" in caplog.text
+    assert (tmp_path / "snapshot-20.bad").read_text() == ""
+    j.write_snapshot(30, {"v": 3})
+    assert sorted(p.name for p in tmp_path.glob("snapshot-*")) == [
+        "snapshot-10.json", "snapshot-20.bad", "snapshot-30.json"]
+    (tmp_path / "snapshot-30.json").write_text("{")
     (tmp_path / "snapshot-10.json").write_text("{")
-    assert j.latest_snapshot(fall_back=True) is None
+    assert j.latest_snapshot() is None
+    assert not list(tmp_path.glob("snapshot-*.json"))
